@@ -734,24 +734,25 @@ let incr () =
       !t_incr !t_warm !t_cold (speedup !t_warm) (speedup !t_cold) frac
 
 (* ------------------------------------------------------------------ *)
-(* contended: multi-tenant batch scheduler — coalesced vs uncoalesced.  *)
+(* contended: single-flight cache + scheduler vs one compute per caller *)
 (* ------------------------------------------------------------------ *)
 
 (* Summary fragment for the --json snapshot, filled in by [contended]. *)
 let contended_json = ref ""
 
 (* Three tenants fire eight concurrent cold solves each at one shared
-   workload.  With coalescing on, the scheduler folds the pile-up into a
-   handful of batches whose one solve fans out to every waiter; with
-   coalescing off, the same 24 requests run serially through the single
-   slot.  Both modes must return the identical solution to every
-   caller — coalescing buys throughput, never answers. *)
+   workload, through bccd's serving path: a single-flight cache whose
+   leaders pass the fair-share scheduler, so the pile-up behind one
+   solve joins it instead of solving again.  The baseline runs the same
+   24 solves one after another.  Every caller must get the identical
+   solution — sharing buys throughput, never answers. *)
 let contended () =
   header
     "contended: 3 tenants x 8 concurrent cold solves of one shared workload \
-     — coalescing on vs off";
+     — single-flight + scheduler vs one solve per caller";
   let module Store = Bcc_store.Store in
   let module Sched = Bcc_sched.Sched in
+  let module Cache = Bcc_server.Cache in
   let ok = function
     | Ok v -> v
     | Error (`Bad msg) -> failwith ("contended: " ^ msg)
@@ -765,32 +766,33 @@ let contended () =
   let tenants = [| "alpha"; "beta"; "gamma" |] in
   let per_tenant = 8 in
   let n = Array.length tenants * per_tenant in
-  let run_mode ~coalesce =
-    let sched = Sched.create ~concurrency:1 ~coalesce () in
-    let results = Array.make n None in
-    let timer = Timer.start () in
-    let spawn i =
-      Thread.create
-        (fun () ->
-          let tenant = tenants.(i mod Array.length tenants) in
-          match
-            Sched.submit sched ~tenant ~key:"w@0" ~subkey:"w@0/cold" (fun () ->
-                (ok (Store.solve store ~name:"w" ~cold:true ())).Store.solution)
-          with
-          | Ok sol -> results.(i) <- Some sol
-          | Error _ -> ())
-        ()
-    in
-    (* the first request claims the slot; the stragglers pile up behind
-       it and (with coalescing on) share batches *)
-    let first = spawn 0 in
-    Thread.delay 0.02;
-    let rest = List.init (n - 1) (fun i -> spawn (i + 1)) in
-    List.iter Thread.join (first :: rest);
-    (Timer.elapsed_s timer, results, Sched.stats sched)
+  let solve () = (ok (Store.solve store ~name:"w" ~cold:true ())).Store.solution in
+  let sched = Sched.create ~concurrency:1 () in
+  let flights = Cache.create ~capacity:1 in
+  let res_c = Array.make n None in
+  let timer = Timer.start () in
+  let spawn i =
+    Thread.create
+      (fun () ->
+        let tenant = tenants.(i mod Array.length tenants) in
+        match
+          Cache.find_or_compute flights ~keep:(fun _ -> false) "w@0/cold" (fun () ->
+              Sched.submit sched ~tenant solve)
+        with
+        | Ok (sol, _) -> res_c.(i) <- Some sol
+        | Error _ -> ())
+      ()
   in
-  let wall_c, res_c, stats_c = run_mode ~coalesce:true in
-  let wall_u, res_u, stats_u = run_mode ~coalesce:false in
+  (* the first caller leads; the stragglers pile up behind it and join *)
+  let first = spawn 0 in
+  Thread.delay 0.02;
+  let rest = List.init (n - 1) (fun i -> spawn (i + 1)) in
+  List.iter Thread.join (first :: rest);
+  let wall_c = Timer.elapsed_s timer in
+  let stats = Sched.stats sched and joins = Cache.joins flights in
+  let timer = Timer.start () in
+  let res_u = Array.init n (fun _ -> Some (solve ())) in
+  let wall_u = Timer.elapsed_s timer in
   let shape sol =
     ( sol.Solution.utility,
       sol.Solution.cost,
@@ -806,10 +808,9 @@ let contended () =
           (Array.append res_c res_u)
   in
   let table =
-    Texttable.create
-      [ "mode"; "wall(s)"; "batches"; "coalesced"; "per-tenant done" ]
+    Texttable.create [ "mode"; "wall(s)"; "solves"; "joined"; "per-tenant done" ]
   in
-  let row name wall (stats : Bcc_sched.Sched.stats) (results : _ option array) =
+  let row name wall solves joined (results : _ option array) =
     let done_of t =
       let c = ref 0 in
       Array.iteri
@@ -822,21 +823,21 @@ let contended () =
       [
         name;
         Printf.sprintf "%.3f" wall;
-        string_of_int stats.Sched.batches_total;
-        string_of_int stats.Sched.coalesced_total;
+        string_of_int solves;
+        string_of_int joined;
         String.concat " "
           (Array.to_list
              (Array.map (fun t -> Printf.sprintf "%s=%d/%d" t (done_of t) per_tenant) tenants));
       ]
   in
-  row "coalesced" wall_c stats_c res_c;
-  row "uncoalesced" wall_u stats_u res_u;
+  row "single-flight" wall_c stats.Sched.batches_total joins res_c;
+  row "one per caller" wall_u n 0 res_u;
   Texttable.print table;
   let speedup = if wall_c > 0.0 then wall_u /. wall_c else 0.0 in
   Printf.printf
-    "aggregate throughput: %.2fx from coalescing (%d waiters folded into %d \
-     batches); identical solutions: %b\n"
-    speedup stats_c.Sched.coalesced_total stats_c.Sched.batches_total identical;
+    "aggregate throughput: %.2fx from single flight (%d callers joined %d \
+     solves); identical solutions: %b\n"
+    speedup joins stats.Sched.batches_total identical;
   contended_json :=
     Printf.sprintf
       "{\"tenants\": %d, \"requests_per_tenant\": %d, \
@@ -844,7 +845,7 @@ let contended () =
        \"speedup\": %.2f, \"batches\": %d, \"coalesced_waiters\": %d, \
        \"identical\": %b}"
       (Array.length tenants) per_tenant wall_c wall_u speedup
-      stats_c.Sched.batches_total stats_c.Sched.coalesced_total identical
+      stats.Sched.batches_total joins identical
 
 (* ------------------------------------------------------------------ *)
 (* Bechamel micro-timings: one Test.make per experiment's kernel.       *)

@@ -3,10 +3,10 @@
    Serves POST /solve, /gmc3, /ecc, the /workloads store family, plus
    GET /instances, /healthz, /metrics, /debug/trace, /debug/solves and
    /debug/sched over plain HTTP/1.1 (see lib/server/server.mli for the
-   wire format).  Solve traffic is admitted through a multi-tenant
-   batch scheduler: identical concurrent requests coalesce into one
-   computation and tenants (--tenant-weight) share the workers by
-   weighted deficit round-robin.
+   wire format).  Identical concurrent solve requests share one
+   computation through a single-flight result cache; the request that
+   computes is admitted through a multi-tenant scheduler, where tenants
+   (--tenant-weight) share the workers by weighted deficit round-robin.
    Every request is answered with an X-Bcc-Trace-Id correlation header
    that keys its record in the /debug/solves flight recorder; --event-log
    streams the wide events to a JSONL file and --debug-dir dumps slow or
@@ -103,16 +103,17 @@ let sched_concurrency_arg =
   Arg.(
     value & opt int 0
     & info [ "sched-concurrency" ] ~docv:"N"
-        ~doc:"Concurrently executing solve batches; 0 auto-sizes to workers - 1 \
-              so one worker stays free to coalesce arrivals into the next batch.")
+        ~doc:"Concurrently executing solves; 0 auto-sizes to workers - 1 so one \
+              worker stays free for cache hits, joins and new connections.")
 
 let tenant_depth_arg =
   Arg.(
     value
     & opt int Server.default_config.Server.tenant_depth
     & info [ "tenant-depth" ] ~docv:"N"
-        ~doc:"Max queued solve requests per tenant; beyond it the tenant gets 429 \
-              with a retry-after hint.")
+        ~doc:"Max queued solves per tenant; beyond it the tenant gets 429 with a \
+              retry-after hint.  Cache hits and requests that join an identical \
+              in-flight solve do not count.")
 
 let tenant_weight_arg =
   Arg.(
@@ -272,7 +273,7 @@ let cmd =
        $ tenant_depth_arg $ tenant_weight_arg $ curve_cache_mb_arg
        $ route_to_arg $ hedge_delay_ms_arg $ log_level_arg))
   in
-  let doc = "resident BCC solver service with request batching and a solution cache" in
+  let doc = "resident BCC solver service with a single-flight solution cache" in
   Cmd.v (Cmd.info "bccd" ~doc) term
 
 let () = exit (Cmd.eval cmd)

@@ -95,8 +95,6 @@ let options_sig (o : Solver.options) =
     o.knapsack_grid o.qk.Bcc_qk.Qk.bipartitions o.qk.Bcc_qk.Qk.resolution
     o.qk.Bcc_qk.Qk.max_expensive_branches o.qk.Bcc_qk.Qk.seed o.mc3_max_queries
 
-let options_fingerprint o = Digest.to_hex (Digest.string (options_sig o))
-
 (* Canonical key for a property set: sorted names when the instance
    carries a symbol table, raw ids otherwise.  Name-based keys survive
    the store's replay re-interning (ids are assigned in first-sight

@@ -121,13 +121,6 @@ val fingerprint :
     and insertion order; changes whenever any observable input to the
     component's sub-solve changes. *)
 
-val options_fingerprint : Solver.options -> string
-(** md5 hex over the canonical rendering of every solver option a
-    component fingerprint embeds.  Two solves with equal
-    [options_fingerprint] on the same instance compute identical
-    artifacts — the scheduler uses it in coalescing keys so only
-    same-options requests share a batch. *)
-
 val curve_to_string : ?names:Symtab.t -> curve -> string
 (** Self-checking artifact payload: versioned header, fingerprint and
     body md5, then the points.  With [names], selection sets are

@@ -102,6 +102,7 @@ let load path =
         (fun () -> In_channel.input_line ic))
 
 let load_string ?(name = "<string>") s =
+  Bcc_robust.Fault.hit "io.load";
   let pos = ref 0 in
   let next_line () =
     if !pos >= String.length s then None

@@ -28,7 +28,8 @@ val load : string -> Bcc_core.Instance.t
 
 val load_string : ?name:string -> string -> Bcc_core.Instance.t
 (** Parses the same format from an in-memory string ([name] defaults to
-    ["<string>"]).  @raise Failure on malformed input. *)
+    ["<string>"]).  Passes the ["io.load"] fault point first.
+    @raise Failure on malformed input. *)
 
 val save_solution : string -> Bcc_core.Instance.t -> Bcc_core.Solution.t -> unit
 (** Writes the selected classifiers (one [select p1;p2;... cost] line

@@ -5,6 +5,7 @@
     ["engine.task"] (a portfolio task body, i.e. a dying worker),
     ["server.read"] (the daemon's request read), ["cache.get"] (a cache
     lookup), ["qk.restart"] (each QK bipartition restart),
+    ["io.load"] (each parse of instance text by [Bcc_data.Io.load_string]),
     ["store.append"] (a workload-store journal commit, before any bytes
     reach the file), ["pipeline.artifact"] (an incremental-pipeline
     artifact-cache lookup — a throw or corruption there must degrade to

@@ -1,5 +1,5 @@
 (* Per-tenant in-flight admission for the cluster router: a counting
-   semaphore per tenant, weighted like the batch scheduler's fair
+   semaphore per tenant, weighted like the solve scheduler's fair
    share.  The router sits in front of N shards that each run a full
    Sched behind their own accept loop, so the router's job is not
    scheduling — it is refusing a tenant that already has its share of
@@ -9,16 +9,14 @@
 type t = {
   lock : Mutex.t;
   depth : int;
-  default_weight : int;
   weights : (string * int) list;
   inflight : (string, int) Hashtbl.t;
 }
 
-let create ?(weights = []) ?(default_weight = 1) ~depth () =
+let create ?(weights = []) ~depth () =
   {
     lock = Mutex.create ();
     depth = max 1 depth;
-    default_weight = max 1 default_weight;
     weights;
     inflight = Hashtbl.create 8;
   }
@@ -26,7 +24,7 @@ let create ?(weights = []) ?(default_weight = 1) ~depth () =
 let weight t tenant =
   match List.assoc_opt tenant t.weights with
   | Some w when w > 0 -> w
-  | _ -> t.default_weight
+  | _ -> 1
 
 let limit t ~tenant = t.depth * weight t tenant
 

@@ -1,7 +1,7 @@
 (** Per-tenant in-flight admission — the router-side half of fair
     share.
 
-    The cluster router forwards to shards that each run a full batch
+    The cluster router forwards to shards that each run a full
     {!Sched} of their own, so the router does not schedule; it bounds
     how many forwards any one tenant may have outstanding, with the
     same weight vocabulary the scheduler's deficit round-robin uses.  A
@@ -12,11 +12,10 @@
 
 type t
 
-val create : ?weights:(string * int) list -> ?default_weight:int -> depth:int -> unit -> t
+val create : ?weights:(string * int) list -> depth:int -> unit -> t
 (** [depth] is the per-weight-unit bound (clamped to >= 1); a tenant of
     weight [w] may hold [depth * w] slots.  [weights] uses the same
-    [(name, weight)] pairs as {!Sched}; absent tenants weigh
-    [default_weight] (default 1). *)
+    [(name, weight)] pairs as {!Sched}; absent tenants weigh 1. *)
 
 val limit : t -> tenant:string -> int
 (** [depth * weight tenant] — the tenant's concurrent-forward cap. *)

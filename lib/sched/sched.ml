@@ -11,40 +11,20 @@ let retry_after_s est_wait_s =
 
 module Core = struct
   type config = {
-    quantum : int;
-    default_weight : int;
     weights : (string * int) list;
     tenant_depth : int;
     concurrency : int;
-    coalesce : bool;
   }
 
-  let default_config =
-    {
-      quantum = 1;
-      default_weight = 1;
-      weights = [];
-      tenant_depth = 32;
-      concurrency = 1;
-      coalesce = true;
-    }
+  let default_config = { weights = []; tenant_depth = 32; concurrency = 1 }
 
-  type waiter = { wid : int; w_tenant : string; w_deadline : float }
-  type group = { g_subkey : string; mutable g_waiters : waiter list (* arrival order *) }
-
-  type batch = {
-    bid : int;
-    b_key : string;
-    b_tenant : string;  (* creator: the batch sits in this tenant's queue *)
-    mutable b_groups : group list;  (* arrival order *)
-  }
+  type job = { wid : int; deadline : float }
 
   type tenant = {
     t_name : string;
     t_weight : int;
     mutable t_deficit : int;
-    mutable t_queue : batch list;  (* earliest deadline first *)
-    mutable t_queued_waiters : int;
+    mutable t_queue : job list;  (* earliest deadline first *)
     mutable t_dispatched : int;
   }
 
@@ -52,13 +32,9 @@ module Core = struct
     cfg : config;
     tenants : (string, tenant) Hashtbl.t;
     mutable active : string list;  (* DRR rotation; head is next served *)
-    pending : (string, batch) Hashtbl.t;  (* joinable (still-queued) batches *)
-    wtab : (int, batch * string) Hashtbl.t;  (* queued waiter -> (batch, its tenant) *)
     mutable running_n : int;
     mutable next_wid : int;
-    mutable next_bid : int;
     mutable n_batches : int;
-    mutable n_coalesced : int;
     mutable n_rejected : int;
     mutable n_expired : int;
   }
@@ -67,8 +43,6 @@ module Core = struct
     let cfg =
       {
         cfg with
-        quantum = max 1 cfg.quantum;
-        default_weight = max 1 cfg.default_weight;
         tenant_depth = max 1 cfg.tenant_depth;
         concurrency = max 1 cfg.concurrency;
       }
@@ -77,21 +51,12 @@ module Core = struct
       cfg;
       tenants = Hashtbl.create 16;
       active = [];
-      pending = Hashtbl.create 64;
-      wtab = Hashtbl.create 64;
       running_n = 0;
       next_wid = 1;
-      next_bid = 1;
       n_batches = 0;
-      n_coalesced = 0;
       n_rejected = 0;
       n_expired = 0;
     }
-
-  let tenant_weight cfg name =
-    match List.assoc_opt name cfg.weights with
-    | Some w when w > 0 -> w
-    | _ -> cfg.default_weight
 
   let get_tenant t name =
     match Hashtbl.find_opt t.tenants name with
@@ -100,163 +65,59 @@ module Core = struct
         let tn =
           {
             t_name = name;
-            t_weight = tenant_weight t.cfg name;
+            t_weight =
+              (match List.assoc_opt name t.cfg.weights with
+              | Some w when w > 0 -> w
+              | _ -> 1);
             t_deficit = 0;
             t_queue = [];
-            t_queued_waiters = 0;
             t_dispatched = 0;
           }
         in
         Hashtbl.replace t.tenants name tn;
         tn
 
-  let batch_earliest b =
-    List.fold_left
-      (fun acc g -> List.fold_left (fun acc w -> Float.min acc w.w_deadline) acc g.g_waiters)
-      infinity b.b_groups
-
   (* Stable deadline-ordered insert: among equal deadlines (notably the
      common "no deadline" = infinity), arrival order is preserved. *)
-  let queue_insert queue b =
-    let eb = batch_earliest b in
+  let queue_insert queue j =
     let rec go = function
-      | [] -> [ b ]
-      | x :: rest -> if batch_earliest x <= eb then x :: go rest else b :: x :: rest
+      | [] -> [ j ]
+      | x :: rest -> if x.deadline <= j.deadline then x :: go rest else j :: x :: rest
     in
     go queue
 
-  let requeue owner b =
-    owner.t_queue <- queue_insert (List.filter (fun x -> x.bid <> b.bid) owner.t_queue) b
-
-  let activate t tn = if not (List.mem tn.t_name t.active) then t.active <- t.active @ [ tn.t_name ]
-
-  let queued_batches t =
-    Hashtbl.fold (fun _ tn acc -> acc + List.length tn.t_queue) t.tenants 0
-
+  let queued t = Hashtbl.fold (fun _ tn acc -> acc + List.length tn.t_queue) t.tenants 0
   let running t = t.running_n
 
-  type enqueue_result =
-    | Queued of int
-    | Coalesced of int
-    | Rejected of { retry_after_s : int }
+  type enqueue_result = Queued of int | Rejected of { retry_after_s : int }
 
-  let est_wait t ~est_batch_s =
-    float_of_int (queued_batches t + t.running_n)
-    *. Float.max 0.001 est_batch_s
-    /. float_of_int t.cfg.concurrency
-
-  let enqueue t ~now:_ ~tenant ~key ~subkey ~deadline ~est_batch_s =
+  let enqueue t ~tenant ~deadline ~est_batch_s =
     let tn = get_tenant t tenant in
-    if tn.t_queued_waiters >= t.cfg.tenant_depth then begin
+    if List.length tn.t_queue >= t.cfg.tenant_depth then begin
       t.n_rejected <- t.n_rejected + 1;
-      Rejected { retry_after_s = retry_after_s (est_wait t ~est_batch_s) }
+      let est_wait =
+        float_of_int (queued t + t.running_n)
+        *. Float.max 0.001 est_batch_s
+        /. float_of_int t.cfg.concurrency
+      in
+      Rejected { retry_after_s = retry_after_s est_wait }
     end
     else begin
       let wid = t.next_wid in
       t.next_wid <- wid + 1;
-      let w = { wid; w_tenant = tenant; w_deadline = deadline } in
-      match (if t.cfg.coalesce then Hashtbl.find_opt t.pending key else None) with
-      | Some b ->
-          let joined_group =
-            match List.find_opt (fun g -> g.g_subkey = subkey) b.b_groups with
-            | Some g ->
-                g.g_waiters <- g.g_waiters @ [ w ];
-                true
-            | None ->
-                b.b_groups <- b.b_groups @ [ { g_subkey = subkey; g_waiters = [ w ] } ];
-                false
-          in
-          if joined_group then t.n_coalesced <- t.n_coalesced + 1;
-          tn.t_queued_waiters <- tn.t_queued_waiters + 1;
-          Hashtbl.replace t.wtab wid (b, tenant);
-          (* the joiner may carry a tighter deadline *)
-          requeue (get_tenant t b.b_tenant) b;
-          if joined_group then Coalesced wid else Queued wid
-      | None ->
-          let b =
-            { bid = t.next_bid; b_key = key; b_tenant = tenant;
-              b_groups = [ { g_subkey = subkey; g_waiters = [ w ] } ] }
-          in
-          t.next_bid <- t.next_bid + 1;
-          tn.t_queue <- queue_insert tn.t_queue b;
-          tn.t_queued_waiters <- tn.t_queued_waiters + 1;
-          Hashtbl.replace t.pending key b;
-          Hashtbl.replace t.wtab wid (b, tenant);
-          activate t tn;
-          Queued wid
+      tn.t_queue <- queue_insert tn.t_queue { wid; deadline };
+      if not (List.mem tenant t.active) then t.active <- t.active @ [ tenant ];
+      Queued wid
     end
 
-  let cancel t wid =
-    match Hashtbl.find_opt t.wtab wid with
-    | None -> false
-    | Some (b, wtenant) ->
-        Hashtbl.remove t.wtab wid;
-        b.b_groups <-
-          List.filter_map
-            (fun g ->
-              match List.filter (fun w -> w.wid <> wid) g.g_waiters with
-              | [] -> None
-              | ws ->
-                  g.g_waiters <- ws;
-                  Some g)
-            b.b_groups;
-        (get_tenant t wtenant).t_queued_waiters <-
-          (get_tenant t wtenant).t_queued_waiters - 1;
-        let owner = get_tenant t b.b_tenant in
-        if b.b_groups = [] then begin
-          owner.t_queue <- List.filter (fun x -> x.bid <> b.bid) owner.t_queue;
-          Hashtbl.remove t.pending b.b_key
-        end
-        else requeue owner b;
-        true
-
-  type dispatch = {
-    d_bid : int;
-    d_key : string;
-    d_tenant : string;
-    d_groups : (string * int list) list;
-  }
-
-  (* Pop the head batch of [tn], prune expired waiters into
-     [expired_acc], and return the dispatch if anyone survived. *)
-  let take_batch t tn ~now expired_acc =
-    match tn.t_queue with
-    | [] -> None
-    | b :: rest ->
-        tn.t_queue <- rest;
-        Hashtbl.remove t.pending b.b_key;
-        let groups =
-          List.filter_map
-            (fun g ->
-              let alive =
-                List.filter
-                  (fun w ->
-                    Hashtbl.remove t.wtab w.wid;
-                    (get_tenant t w.w_tenant).t_queued_waiters <-
-                      (get_tenant t w.w_tenant).t_queued_waiters - 1;
-                    if w.w_deadline <= now then begin
-                      expired_acc := w.wid :: !expired_acc;
-                      t.n_expired <- t.n_expired + 1;
-                      false
-                    end
-                    else true)
-                  g.g_waiters
-              in
-              match alive with
-              | [] -> None
-              | ws -> Some (g.g_subkey, List.map (fun w -> w.wid) ws))
-            b.b_groups
-        in
-        if groups = [] then None
-        else
-          Some { d_bid = b.bid; d_key = b.b_key; d_tenant = b.b_tenant; d_groups = groups }
+  type dispatch = { d_wid : int; d_tenant : string }
 
   let next t ~now =
     let expired_acc = ref [] in
     let dispatch =
       if t.running_n >= t.cfg.concurrency then None
       else begin
-        (* Each iteration pops a batch, drops an idle tenant, or earns
+        (* Each iteration pops a job, drops an idle tenant, or earns
            deficit (at most once per tenant before its next pop), so the
            loop terminates; the fuel bound is a belt-and-braces guard. *)
         let rec loop fuel =
@@ -271,46 +132,42 @@ module Core = struct
                     tn.t_deficit <- 0;
                     t.active <- rest;
                     loop (fuel - 1)
-                | _ when tn.t_deficit >= 1 -> (
-                    tn.t_deficit <- tn.t_deficit - 1;
-                    match take_batch t tn ~now expired_acc with
-                    | Some d ->
-                        t.n_batches <- t.n_batches + 1;
-                        tn.t_dispatched <- tn.t_dispatched + 1;
-                        t.running_n <- t.running_n + 1;
-                        Some d
-                    | None ->
-                        (* every waiter had expired: the tenant did not
-                           get service, so the deficit goes back *)
-                        tn.t_deficit <- tn.t_deficit + 1;
-                        loop (fuel - 1))
+                | j :: queue when tn.t_deficit >= 1 ->
+                    tn.t_queue <- queue;
+                    if j.deadline <= now then begin
+                      (* pruned, not served: the deficit is not spent *)
+                      expired_acc := j.wid :: !expired_acc;
+                      t.n_expired <- t.n_expired + 1;
+                      loop (fuel - 1)
+                    end
+                    else begin
+                      tn.t_deficit <- tn.t_deficit - 1;
+                      t.n_batches <- t.n_batches + 1;
+                      tn.t_dispatched <- tn.t_dispatched + 1;
+                      t.running_n <- t.running_n + 1;
+                      Some { d_wid = j.wid; d_tenant = name }
+                    end
                 | _ ->
-                    tn.t_deficit <- tn.t_deficit + (t.cfg.quantum * tn.t_weight);
+                    tn.t_deficit <- tn.t_deficit + tn.t_weight;
                     t.active <- rest @ [ name ];
                     loop (fuel - 1))
         in
-        loop ((4 * (Hashtbl.length t.tenants + queued_batches t)) + 8)
+        loop ((4 * (Hashtbl.length t.tenants + queued t)) + 8)
       end
     in
     (List.rev !expired_acc, dispatch)
 
-  let complete t _bid = t.running_n <- max 0 (t.running_n - 1)
+  let complete t = t.running_n <- max 0 (t.running_n - 1)
 
   type tenant_info = {
     ti_tenant : string;
     ti_weight : int;
     ti_deficit : int;
-    ti_queued_batches : int;
-    ti_queued_waiters : int;
+    ti_queued : int;
     ti_dispatched : int;
   }
 
-  type counters = {
-    batches_total : int;
-    coalesced_total : int;
-    rejected_total : int;
-    expired_total : int;
-  }
+  type counters = { batches_total : int; rejected_total : int; expired_total : int }
 
   let tenants t =
     Hashtbl.fold
@@ -319,8 +176,7 @@ module Core = struct
           ti_tenant = tn.t_name;
           ti_weight = tn.t_weight;
           ti_deficit = tn.t_deficit;
-          ti_queued_batches = List.length tn.t_queue;
-          ti_queued_waiters = tn.t_queued_waiters;
+          ti_queued = List.length tn.t_queue;
           ti_dispatched = tn.t_dispatched;
         }
         :: acc)
@@ -330,7 +186,6 @@ module Core = struct
   let counters t =
     {
       batches_total = t.n_batches;
-      coalesced_total = t.n_coalesced;
       rejected_total = t.n_rejected;
       expired_total = t.n_expired;
     }
@@ -350,103 +205,63 @@ type 'r t = {
   mutable est_batch_s : float;
 }
 
-let create ?(quantum = 1) ?(default_weight = 1) ?(weights = []) ?(tenant_depth = 32)
-    ?(concurrency = 1) ?(coalesce = true) () =
+let create ?(weights = []) ?(tenant_depth = 32) ?(concurrency = 1) () =
   {
-    core =
-      Core.create
-        { quantum; default_weight; weights; tenant_depth; concurrency; coalesce };
+    core = Core.create { weights; tenant_depth; concurrency };
     cells = Hashtbl.create 64;
     m = Mutex.create ();
     cv = Condition.create ();
     est_batch_s = 0.05;
   }
 
-let deliver_expired t wids =
-  List.iter
-    (fun wid ->
-      match Hashtbl.find_opt t.cells wid with
-      | Some c -> c.c_out <- Some Timed_out
-      | None -> ())
-    wids
-
-(* Run a dispatched batch.  Called (and returns) with the lock held; the
-   group callbacks run unlocked.  Each group's first waiter's callback
-   runs once and its result — or its exception — fans out to the whole
-   group. *)
+(* Run a dispatched job.  Called (and returns) with the lock held; the
+   callback runs unlocked. *)
 let execute t (d : Core.dispatch) =
-  let jobs =
-    List.filter_map
-      (fun (subkey, wids) ->
-        match List.filter_map (Hashtbl.find_opt t.cells) wids with
-        | [] -> None
-        | cs -> Some (subkey, cs))
-      d.Core.d_groups
-  in
+  let cell = Hashtbl.find t.cells d.Core.d_wid in
   Mutex.unlock t.m;
   let timer = Timer.start () in
-  let outs =
-    List.map
-      (fun (_, cs) ->
-        let rep = List.hd cs in
-        let out = try Done (rep.c_run ()) with e -> Failed e in
-        (cs, out))
-      jobs
-  in
+  let out = try Done (cell.c_run ()) with e -> Failed e in
   let wall = Timer.elapsed_s timer in
-  if Event.enabled () then begin
-    let waiters = List.fold_left (fun a (_, cs) -> a + List.length cs) 0 jobs in
-    let corrs =
-      List.concat_map
-        (fun (_, cs) -> List.filter_map (fun c -> if c.c_corr = "" then None else Some c.c_corr) cs)
-        jobs
-    in
+  if Event.enabled () then
     Event.emit "sched_batch"
       ~attrs:
         [
-          ("key", Event.Str d.Core.d_key);
           ("tenant", Event.Str d.Core.d_tenant);
-          ("groups", Event.Int (List.length jobs));
-          ("waiters", Event.Int waiters);
-          ("coalesced", Event.Int (waiters - List.length jobs));
           ("wall_s", Event.Float wall);
-          ("corrs", Event.Str (String.concat "," corrs));
-        ]
-  end;
+          ("corrs", Event.Str cell.c_corr);
+        ];
   Mutex.lock t.m;
-  Core.complete t.core d.Core.d_bid;
+  Core.complete t.core;
   t.est_batch_s <- (0.7 *. t.est_batch_s) +. (0.3 *. wall);
-  List.iter (fun (cs, out) -> List.iter (fun c -> c.c_out <- Some out) cs) outs;
+  cell.c_out <- Some out;
   Condition.broadcast t.cv
 
-let submit t ~tenant ?deadline_s ?(corr = "") ~key ~subkey run =
+let submit t ~tenant ?deadline_s ?(corr = "") run =
   match Fault.hit fault_point with
   | exception e -> Error (Faulted e)
   | () -> (
-      let now = Timer.now_s () in
       let deadline = match deadline_s with Some d -> d | None -> infinity in
-      if deadline <= now then Error Expired
+      if deadline <= Timer.now_s () then Error Expired
       else begin
         Mutex.lock t.m;
-        match
-          Core.enqueue t.core ~now ~tenant ~key ~subkey ~deadline
-            ~est_batch_s:t.est_batch_s
-        with
+        match Core.enqueue t.core ~tenant ~deadline ~est_batch_s:t.est_batch_s with
         | Core.Rejected { retry_after_s } ->
             Mutex.unlock t.m;
             Error (Busy { retry_after_s })
-        | Core.Queued wid | Core.Coalesced wid ->
+        | Core.Queued wid ->
             let cell = { c_run = run; c_corr = corr; c_out = None } in
             Hashtbl.replace t.cells wid cell;
             (* Work-conserving wait: until our result lands, try to
-               claim and execute whatever batch the core will release
+               claim and execute whatever job the core will release
                (often, but not necessarily, our own). *)
             let rec wait_loop () =
               match cell.c_out with
               | Some out -> out
               | None -> (
                   let expired, d = Core.next t.core ~now:(Timer.now_s ()) in
-                  deliver_expired t expired;
+                  List.iter
+                    (fun wid -> (Hashtbl.find t.cells wid).c_out <- Some Timed_out)
+                    expired;
                   if expired <> [] then Condition.broadcast t.cv;
                   match d with
                   | Some d ->
@@ -470,11 +285,9 @@ let submit t ~tenant ?deadline_s ?(corr = "") ~key ~subkey run =
 
 type stats = {
   batches_total : int;
-  coalesced_total : int;
   rejected_total : int;
   expired_total : int;
-  queued_batches : int;
-  queued_waiters : int;
+  queued : int;
   running : int;
   est_batch_s : float;
   tenants : Core.tenant_info list;
@@ -483,19 +296,15 @@ type stats = {
 let stats t =
   Mutex.lock t.m;
   let c = Core.counters t.core in
-  let tenants = Core.tenants t.core in
   let s =
     {
       batches_total = c.Core.batches_total;
-      coalesced_total = c.Core.coalesced_total;
       rejected_total = c.Core.rejected_total;
       expired_total = c.Core.expired_total;
-      queued_batches = Core.queued_batches t.core;
-      queued_waiters =
-        List.fold_left (fun a ti -> a + ti.Core.ti_queued_waiters) 0 tenants;
+      queued = Core.queued t.core;
       running = Core.running t.core;
       est_batch_s = t.est_batch_s;
-      tenants;
+      tenants = Core.tenants t.core;
     }
   in
   Mutex.unlock t.m;

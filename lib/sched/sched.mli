@@ -1,50 +1,39 @@
-(** Multi-tenant batch solve scheduler: request coalescing + weighted
-    fair-share admission between the daemon's accept loop and the
-    engine.
+(** Multi-tenant solve scheduler: weighted fair-share admission between
+    the daemon's accept loop and the engine.
 
     Two layers:
 
     - {!Core} is the deterministic scheduling state machine — per-tenant
-      deadline-ordered queues, deficit round-robin across tenants,
-      key-based coalescing of concurrent identical work — with explicit
-      [~now] parameters and no threads, locks or clocks, so a fake-clock
-      reference model can be driven against it op for op.
+      deadline-ordered queues of single jobs and deficit round-robin
+      across tenants — with explicit [~now] parameters and no threads,
+      locks or clocks, so a fake-clock reference model can be driven
+      against it op for op.
     - The threaded wrapper ({!submit}) owns a mutex/condvar around one
       [Core.t] and is {e work-conserving}: there is no dispatcher
       thread; any blocked submitter may claim and execute any
-      dispatchable batch, so every pending batch always has at least one
+      dispatchable job, so every pending job always has at least one
       thread able to run it and the wrapper cannot deadlock (nested
       solver portfolios drain through the engine's caller
       participation).
 
-    {2 Coalescing}
-
-    Requests share a {e key} — for solves, (workload, epoch,
-    options-fingerprint) — and carry a finer {e subkey} (key plus
-    budget/target/timeout).  Concurrent requests with the same key join
-    one pending {e batch}; within a batch, requests with the same subkey
-    form one {e group} whose work runs {b once} and whose single result
-    fans out to every waiter, byte-identical.  Distinct subkeys in a
-    batch (same instance, different budgets) run as separate group jobs
-    of the same batch — priced off the same epoch's component curves via
-    the shared {!Curve_cache}.  A batch is joinable only while queued;
-    arrivals after dispatch start a fresh batch, which preserves the
-    pipeline's bit-identical-to-cold guarantee (a running solve is never
-    mutated by late joiners).
+    The scheduler does not deduplicate work: concurrent identical
+    requests are folded into one computation {e before} admission, by
+    the server's single-flight result cache, so only a computation's
+    leader is ever submitted here.
 
     {2 Fair share}
 
-    Each request names a tenant.  Tenants get weighted service via
-    deficit round-robin: a tenant at the head of the rotation spends one
-    deficit unit per dispatched batch and earns [quantum * weight] when
-    its turn comes up empty-handed, so any tenant's deficit never
-    exceeds [quantum * weight] (the fairness bound the model test
-    asserts).  Per-tenant queue depth is bounded; overflow is rejected
-    with a retry-after hint ({!retry_after_s} clamps sub-second
-    estimates up to 1 s — a 0 s retry-after is a thundering herd).
-    Queues are deadline-ordered so a near-expiry request is not parked
-    behind batches it cannot survive, and waiters already past their
-    deadline are pruned (not run) at dispatch time. *)
+    Each job names a tenant.  Tenants get weighted service via deficit
+    round-robin: a tenant at the head of the rotation spends one deficit
+    unit per dispatched job and earns its weight when its turn comes up
+    empty-handed, so any tenant's deficit never exceeds its weight (the
+    fairness bound the model test asserts).  Per-tenant queue depth is
+    bounded; overflow is rejected with a retry-after hint
+    ({!retry_after_s} clamps sub-second estimates up to 1 s — a 0 s
+    retry-after is a thundering herd).  Queues are deadline-ordered so a
+    near-expiry job is not parked behind jobs it cannot survive, and
+    jobs already past their deadline are pruned (not run) at dispatch
+    time. *)
 
 val fault_point : string
 (** ["sched.enqueue"] — {!Bcc_robust.Fault.hit} runs at the top of every
@@ -58,12 +47,10 @@ val retry_after_s : float -> int
 (** Deterministic scheduling core (no threads, no clock). *)
 module Core : sig
   type config = {
-    quantum : int;  (** deficit earned per empty-handed turn, per weight unit *)
-    default_weight : int;  (** weight for tenants absent from [weights] *)
-    weights : (string * int) list;  (** tenant name -> weight *)
-    tenant_depth : int;  (** max queued waiters per tenant *)
-    concurrency : int;  (** max concurrently running batches *)
-    coalesce : bool;  (** [false]: every request is its own batch *)
+    weights : (string * int) list;
+        (** tenant name -> weight; absent tenants weigh 1 *)
+    tenant_depth : int;  (** max queued jobs per tenant *)
+    concurrency : int;  (** max concurrently running jobs *)
   }
 
   val default_config : config
@@ -73,66 +60,43 @@ module Core : sig
   val create : config -> t
 
   type enqueue_result =
-    | Queued of int
-        (** waiter id; started a new batch or a new subkey group *)
-    | Coalesced of int
-        (** waiter id; joined an existing group — its solve is shared *)
+    | Queued of int  (** job id *)
     | Rejected of { retry_after_s : int }  (** tenant queue full *)
 
   val enqueue :
-    t ->
-    now:float ->
-    tenant:string ->
-    key:string ->
-    subkey:string ->
-    deadline:float ->
-    est_batch_s:float ->
-    enqueue_result
+    t -> tenant:string -> deadline:float -> est_batch_s:float -> enqueue_result
   (** [deadline] is an absolute time ([infinity] = none); [est_batch_s]
       feeds the retry-after estimate on rejection. *)
 
-  val cancel : t -> int -> bool
-  (** Remove a still-queued waiter; [false] once dispatched (or
-      unknown). *)
-
-  type dispatch = {
-    d_bid : int;
-    d_key : string;
-    d_tenant : string;  (** the batch creator, charged for fair share *)
-    d_groups : (string * int list) list;
-        (** subkey -> live waiter ids, arrival order; run each group
-            once, fan its result to all its waiters *)
-  }
+  type dispatch = { d_wid : int; d_tenant : string }
 
   val next : t -> now:float -> int list * dispatch option
-  (** DRR pick.  Returns waiters found expired during the scan (pruned,
+  (** DRR pick.  Returns jobs found expired during the scan (pruned,
       never run — deliver them a timeout) and, when a concurrency slot
-      is free and a batch with live waiters exists, that batch. *)
+      is free and a live job is queued, that job. *)
 
-  val complete : t -> int -> unit
-  (** Release the concurrency slot of a dispatched batch. *)
+  val complete : t -> unit
+  (** Release the concurrency slot of a dispatched job. *)
 
   type tenant_info = {
     ti_tenant : string;
     ti_weight : int;
     ti_deficit : int;
-    ti_queued_batches : int;
-    ti_queued_waiters : int;
+    ti_queued : int;
     ti_dispatched : int;
   }
 
   type counters = {
-    batches_total : int;  (** batches dispatched *)
-    coalesced_total : int;  (** waiters that joined an existing group *)
+    batches_total : int;  (** jobs dispatched *)
     rejected_total : int;
-    expired_total : int;  (** waiters pruned past their deadline *)
+    expired_total : int;  (** jobs pruned past their deadline *)
   }
 
   val tenants : t -> tenant_info list
   (** Sorted by tenant name. *)
 
   val counters : t -> counters
-  val queued_batches : t -> int
+  val queued : t -> int
   val running : t -> int
 end
 
@@ -141,50 +105,37 @@ end
 type error =
   | Busy of { retry_after_s : int }  (** tenant queue full — 429 *)
   | Expired  (** deadline passed before the work ran — 503 *)
-  | Faulted of exn  (** the batch job (or an armed fault) raised — 500 *)
+  | Faulted of exn  (** the job (or an armed fault) raised — 500 *)
 
 type 'r t
 
 val create :
-  ?quantum:int ->
-  ?default_weight:int ->
-  ?weights:(string * int) list ->
-  ?tenant_depth:int ->
-  ?concurrency:int ->
-  ?coalesce:bool ->
-  unit ->
-  'r t
-(** Defaults: quantum 1, weights 1, tenant_depth 32, concurrency 1,
-    coalesce on. *)
+  ?weights:(string * int) list -> ?tenant_depth:int -> ?concurrency:int -> unit -> 'r t
+(** Defaults: weights 1, tenant_depth 32, concurrency 1. *)
 
 val submit :
   'r t ->
   tenant:string ->
   ?deadline_s:float ->
   ?corr:string ->
-  key:string ->
-  subkey:string ->
   (unit -> 'r) ->
   ('r, error) result
-(** Enqueue and block until this request's group result is available —
-    possibly executing other batches while waiting (work conserving).
-    The callback of the {e first} waiter of each group runs once; every
-    group waiter gets the same result.  [deadline_s] is absolute
-    ({!Bcc_util.Timer.now_s} scale).  [corr] (the submitter's
-    correlation id) is carried into the [sched_batch] wide event; the
-    callback itself is responsible for re-installing any ambient scopes
-    it needs, since it may run on another submitter's thread.
-    Exceptions from the callback fail only its group's waiters. *)
+(** Enqueue one job and block until its result is available — possibly
+    executing other tenants' jobs while waiting (work conserving).
+    [deadline_s] is absolute ({!Bcc_util.Timer.now_s} scale).  [corr]
+    (the submitter's correlation id) is carried into the [sched_batch]
+    wide event; the callback itself is responsible for re-installing any
+    ambient scopes it needs, since it may run on another submitter's
+    thread.  An exception from the callback fails only its own
+    submission. *)
 
 type stats = {
   batches_total : int;
-  coalesced_total : int;
   rejected_total : int;
   expired_total : int;
-  queued_batches : int;
-  queued_waiters : int;
+  queued : int;
   running : int;
-  est_batch_s : float;  (** EWMA of observed batch wall times *)
+  est_batch_s : float;  (** EWMA of observed job wall times *)
   tenants : Core.tenant_info list;
 }
 

@@ -1,7 +1,8 @@
-(* Classic Hashtbl + doubly-linked-list LRU.  The list is intrusive with
-   option pointers; [head] is most recently used, [tail] next to evict.
-   All operations take the lock, so a cache can be shared by the whole
-   worker pool. *)
+(* Classic Hashtbl + doubly-linked-list LRU for finished values, plus a
+   table of in-flight computations.  The list is intrusive with option
+   pointers; [head] is most recently used, [tail] next to evict.  All
+   operations take the lock, so a cache can be shared by the whole
+   worker pool; joiners of an in-flight key sleep on [resolved]. *)
 
 type 'a entry = {
   key : string;
@@ -10,15 +11,22 @@ type 'a entry = {
   mutable next : 'a entry option;  (* towards tail *)
 }
 
+(* A leader's promise.  [Refused] means the leader kept its outcome to
+   itself; joiners go round again. *)
+type 'a state = Pending | Done of 'a | Failed of exn | Refused
+
 type 'a t = {
   capacity : int;
   tbl : (string, 'a entry) Hashtbl.t;
+  flights : (string, 'a state ref) Hashtbl.t;
   mutable head : 'a entry option;
   mutable tail : 'a entry option;
   mutable hits : int;
   mutable misses : int;
   mutable evictions : int;
+  mutable joins : int;
   lock : Mutex.t;
+  resolved : Condition.t;
 }
 
 let create ~capacity =
@@ -26,12 +34,15 @@ let create ~capacity =
   {
     capacity;
     tbl = Hashtbl.create (2 * capacity);
+    flights = Hashtbl.create 16;
     head = None;
     tail = None;
     hits = 0;
     misses = 0;
     evictions = 0;
+    joins = 0;
     lock = Mutex.create ();
+    resolved = Condition.create ();
   }
 
 let locked t f =
@@ -50,55 +61,102 @@ let push_front t e =
   (match t.head with Some h -> h.prev <- Some e | None -> t.tail <- Some e);
   t.head <- Some e
 
+(* Lock held by the caller. *)
+let find_locked t key =
+  match Hashtbl.find_opt t.tbl key with
+  | Some e ->
+      t.hits <- t.hits + 1;
+      unlink t e;
+      push_front t e;
+      Some e.value
+  | None -> None
+
+let put_locked t key value =
+  match Hashtbl.find_opt t.tbl key with
+  | Some e ->
+      e.value <- value;
+      unlink t e;
+      push_front t e
+  | None ->
+      if Hashtbl.length t.tbl >= t.capacity then begin
+        match t.tail with
+        | Some victim ->
+            unlink t victim;
+            Hashtbl.remove t.tbl victim.key;
+            t.evictions <- t.evictions + 1
+        | None -> ()
+      end;
+      let e = { key; value; prev = None; next = None } in
+      Hashtbl.replace t.tbl key e;
+      push_front t e
+
 let find t key =
   locked t (fun () ->
-      match Hashtbl.find_opt t.tbl key with
-      | Some e ->
-          t.hits <- t.hits + 1;
-          unlink t e;
-          push_front t e;
-          Some e.value
-      | None ->
-          t.misses <- t.misses + 1;
-          None)
+      let v = find_locked t key in
+      if Option.is_none v then t.misses <- t.misses + 1;
+      v)
 
-let put t key value =
-  locked t (fun () ->
-      match Hashtbl.find_opt t.tbl key with
-      | Some e ->
-          e.value <- value;
-          unlink t e;
-          push_front t e
-      | None ->
-          if Hashtbl.length t.tbl >= t.capacity then begin
-            match t.tail with
-            | Some victim ->
-                unlink t victim;
-                Hashtbl.remove t.tbl victim.key;
-                t.evictions <- t.evictions + 1
-            | None -> ()
-          end;
-          let e = { key; value; prev = None; next = None } in
-          Hashtbl.replace t.tbl key e;
-          push_front t e)
+let put t key value = locked t (fun () -> put_locked t key value)
 
-let find_or_add t key compute =
-  match find t key with
-  | Some v -> (v, true)
-  | None ->
-      (* Computed outside the lock: solves can take seconds and must not
-         serialize the pool.  Concurrent misses on the same key may both
-         compute; last write wins, which is harmless for pure values. *)
-      let v = compute () in
-      put t key v;
-      (v, false)
+let find_or_compute t ?flight ?(keep = fun _ -> true) key compute =
+  let fkey = Option.value flight ~default:key in
+  let rec wait promise =
+    match !promise with
+    | Pending ->
+        Condition.wait t.resolved t.lock;
+        wait promise
+    | st -> st
+  in
+  let rec attempt () =
+    Mutex.lock t.lock;
+    match find_locked t key with
+    | Some v ->
+        Mutex.unlock t.lock;
+        Ok (v, true)
+    | None -> (
+        match Hashtbl.find_opt t.flights fkey with
+        | Some promise -> (
+            t.joins <- t.joins + 1;
+            let st = wait promise in
+            Mutex.unlock t.lock;
+            match st with
+            | Done v -> Ok (v, false)
+            | Failed e -> raise e
+            | Pending | Refused -> attempt ())
+        | None ->
+            t.misses <- t.misses + 1;
+            let promise = ref Pending in
+            Hashtbl.replace t.flights fkey promise;
+            Mutex.unlock t.lock;
+            (* Computed outside the lock: solves take seconds and must
+               not serialize the pool. *)
+            let settle ?(store = false) st =
+              locked t (fun () ->
+                  Hashtbl.remove t.flights fkey;
+                  promise := st;
+                  (match st with Done v when store -> put_locked t key v | _ -> ());
+                  Condition.broadcast t.resolved)
+            in
+            (* [keep] runs inside the handler too: whatever raises, the
+               flight is resolved and no joiner is left waiting. *)
+            match match compute () with Ok v -> Ok (v, keep v) | Error e -> Error e with
+            | Ok (v, store) ->
+                settle ~store (Done v);
+                Ok (v, false)
+            | Error e ->
+                settle Refused;
+                Error e
+            | exception e ->
+                settle (Failed e);
+                raise e)
+  in
+  attempt ()
 
-let mem t key = locked t (fun () -> Hashtbl.mem t.tbl key)
 let length t = locked t (fun () -> Hashtbl.length t.tbl)
-let capacity t = t.capacity
 let hits t = locked t (fun () -> t.hits)
 let misses t = locked t (fun () -> t.misses)
 let evictions t = locked t (fun () -> t.evictions)
+let joins t = locked t (fun () -> t.joins)
 
 let keys_mru t =
   locked t (fun () ->

@@ -17,7 +17,6 @@ module Deadline = Bcc_robust.Deadline
 module Fault = Bcc_robust.Fault
 module Store = Bcc_store.Store
 module Delta = Bcc_store.Delta
-module Pipeline = Bcc_core.Pipeline
 module Sched = Bcc_sched.Sched
 module Curve_cache = Bcc_sched.Curve_cache
 
@@ -33,7 +32,7 @@ type config = {
   state_dir : string option;
   event_log : string option;  (* JSONL wide-event log, one line per event *)
   debug_dir : string option;  (* flight-recorder dumps of slow/degraded solves *)
-  sched_concurrency : int;  (* concurrent solve batches; 0 = workers - 1 *)
+  sched_concurrency : int;  (* concurrent solve jobs; 0 = workers - 1 *)
   tenant_depth : int;  (* max queued solve requests per tenant *)
   tenant_weights : (string * int) list;  (* fair-share weights; default 1 *)
   curve_cache_mb : int;  (* byte budget of the shared curve cache *)
@@ -68,6 +67,11 @@ let default_config =
 
 type loaded = { digest : string; inst : Instance.t }
 
+(* A computed /solve, /gmc3 or /ecc answer: the response fields before
+   the per-request suffix, and [Some degraded] when the request carried
+   a deadline. *)
+type answer = { fields : (string * Json.t) list; degraded : bool option }
+
 type t = {
   cfg : config;
   sock : Unix.file_descr;
@@ -78,10 +82,11 @@ type t = {
   stop : bool Atomic.t;
   named : (string, loaded) Hashtbl.t;
   inst_cache : loaded Cache.t;  (* raw body digest -> parsed instance *)
-  sol_cache : Json.t Cache.t;  (* canonical digest + endpoint + params -> result *)
+  sol_cache : answer Cache.t;  (* canonical digest + endpoint + params -> result *)
+  wl_flights : Http.response Cache.t;  (* in-flight workload solves, never stored *)
   store : Store.t;  (* versioned workloads, durable under [state_dir] *)
   curve_cache : Curve_cache.t;  (* curve artifacts shared across workloads *)
-  sched : Http.response Sched.t;  (* batch scheduler for solve traffic *)
+  sched : unit Sched.t;  (* fair-share admission of solve leaders *)
   metrics : Metrics.t;
 }
 
@@ -129,10 +134,10 @@ let create cfg =
   let curve_cache =
     Curve_cache.create ~max_bytes:(max 1 cfg.curve_cache_mb * 1024 * 1024) ()
   in
-  (* Batch concurrency below the worker count keeps a worker available
-     to feed (and coalesce into) the next batch while one runs; the
-     wrapper is work-conserving, so blocked submitters execute the
-     batches themselves. *)
+  (* Solve concurrency below the worker count keeps a worker free for
+     cache hits and the accept path while solves run; the wrapper is
+     work-conserving, so blocked submitters execute the jobs
+     themselves. *)
   let sched =
     Sched.create
       ~weights:cfg.tenant_weights ~tenant_depth:cfg.tenant_depth
@@ -153,6 +158,7 @@ let create cfg =
       named;
       inst_cache = Cache.create ~capacity:(max 1 cfg.cache_entries);
       sol_cache = Cache.create ~capacity:(max 1 cfg.cache_entries);
+      wl_flights = Cache.create ~capacity:1;
       store = Store.create ?dir:cfg.state_dir ~curve_cache ();
       curve_cache;
       sched;
@@ -240,11 +246,34 @@ let endpoint_name = function
   | E_gmc3 -> "gmc3"
   | E_ecc -> "ecc"
 
-(* Instance source + optional budget/target/timeout_ms from the body
-   (raw instance text, or a JSON object) merged with
+let fmt_opt = function None -> "-" | Some x -> Printf.sprintf "%.17g" x
+
+(* A /solve, /gmc3 or /ecc request, parsed once. *)
+type solve_req = {
+  src : [ `Named of string | `Inline of string ];
+  budget : float option;
+  target : float option;
+  timeout_ms : float option;  (* explicit, from the body or the query *)
+  tenant : string;
+}
+
+(* Tenant identity for fair-share admission: ?tenant= query param, then
+   the [x-bcc-tenant] header, then [body_tenant] (a "tenant" field of a
+   JSON body); anonymous traffic shares the "default" tenant. *)
+let tenant_of ?body_tenant (req : Http.request) =
+  let nonempty = function Some "" | None -> None | Some s -> Some s in
+  match nonempty (Http.query_param req "tenant") with
+  | Some t -> t
+  | None -> (
+      match nonempty (Http.header req "x-bcc-tenant") with
+      | Some t -> t
+      | None -> Option.value ~default:"default" (nonempty body_tenant))
+
+(* Instance source + optional budget/target/timeout_ms/tenant from the
+   body (raw instance text, or a JSON object) merged with
    ?budget=/?target=/?timeout_ms= query params (query wins, so a
    raw-text body can still be swept over budgets). *)
-let parse_params (req : Http.request) =
+let parse_solve (req : Http.request) =
   let body = req.Http.body in
   let trimmed = String.trim body in
   let from_body =
@@ -254,21 +283,28 @@ let parse_params (req : Http.request) =
       | Error msg -> Error ("bad JSON body: " ^ msg)
       | Ok j -> (
           let field name get = Option.bind (Json.member name j) get in
-          let name = field "instance" Json.get_string in
-          let text = field "text" Json.get_string in
-          let budget = field "budget" Json.get_num in
-          let target = field "target" Json.get_num in
-          let timeout_ms = field "timeout_ms" Json.get_num in
-          match (name, text) with
-          | Some n, None -> Ok (`Named n, budget, target, timeout_ms)
-          | None, Some s -> Ok (`Inline s, budget, target, timeout_ms)
+          let p src =
+            {
+              src;
+              budget = field "budget" Json.get_num;
+              target = field "target" Json.get_num;
+              timeout_ms = field "timeout_ms" Json.get_num;
+              tenant = tenant_of ?body_tenant:(field "tenant" Json.get_string) req;
+            }
+          in
+          match (field "instance" Json.get_string, field "text" Json.get_string) with
+          | Some n, None -> Ok (p (`Named n))
+          | None, Some s -> Ok (p (`Inline s))
           | Some _, Some _ -> Error {|provide either "instance" or "text", not both|}
           | None, None -> Error {|JSON body needs an "instance" name or inline "text"|})
-    else Ok (`Inline body, None, None, None)
+    else
+      Ok
+        { src = `Inline body; budget = None; target = None; timeout_ms = None;
+          tenant = tenant_of req }
   in
   match from_body with
   | Error _ as e -> e
-  | Ok (src, budget, target, timeout_ms) -> (
+  | Ok p -> (
       let num_param name fallback =
         match Http.query_param req name with
         | None -> Ok fallback
@@ -278,31 +314,27 @@ let parse_params (req : Http.request) =
             | _ -> Error (Printf.sprintf "bad ?%s=%s" name s))
       in
       match
-        ( num_param "budget" budget,
-          num_param "target" target,
-          num_param "timeout_ms" timeout_ms )
+        ( num_param "budget" p.budget,
+          num_param "target" p.target,
+          num_param "timeout_ms" p.timeout_ms )
       with
-      | Ok budget, Ok target, Ok timeout_ms -> (
-          match timeout_ms with
-          | Some ms when not (Float.is_finite ms && ms > 0.0) ->
-              Error "timeout_ms must be a positive number of milliseconds"
-          | _ -> Ok (src, budget, target, timeout_ms))
+      | Ok (Some b), _, _ when b < 0.0 -> Error "budget must be a non-negative number"
+      | _, _, Ok (Some ms) when not (ms > 0.0) ->
+          Error "timeout_ms must be a positive number of milliseconds"
+      | Ok budget, Ok target, Ok timeout_ms -> Ok { p with budget; target; timeout_ms }
       | Error e, _, _ | _, Error e, _ | _, _, Error e -> Error e)
 
-(* Cache lookups pass through the ["cache.get"] injection point; a
-   lookup that faults is downgraded to a miss (plus an error counter) so
-   a broken cache degrades throughput, never availability. *)
-let cache_find t ~name cache key =
-  match
-    Fault.hit "cache.get";
-    Cache.find cache key
-  with
-  | v -> v
+(* Every lookup passes through the ["cache.get"] injection point; a
+   lookup that faults bypasses the cache (plus an error counter) so a
+   broken cache degrades throughput, never availability. *)
+let cached t ~name cache ?flight ?keep key compute =
+  match Fault.hit "cache.get" with
+  | () -> Cache.find_or_compute cache ?flight ?keep key compute
   | exception Fault.Injected _ ->
       Metrics.inc t.metrics "bccd_cache_errors_total"
         ~labels:[ ("cache", name) ]
         ~help:"Cache lookups that failed (treated as misses).";
-      None
+      Result.map (fun v -> (v, false)) (compute ())
 
 let resolve_instance t src =
   match src with
@@ -310,77 +342,116 @@ let resolve_instance t src =
       match Hashtbl.find_opt t.named name with
       | Some l -> Ok l
       | None -> Error (404, "unknown instance: " ^ name))
-  | `Inline text -> (
+  | `Inline text ->
       let raw_digest = Digest.to_hex (Digest.string text) in
-      match cache_find t ~name:"instance" t.inst_cache raw_digest with
-      | Some l ->
-          Metrics.inc t.metrics "bccd_cache_hits_total"
-            ~labels:[ ("cache", "instance") ];
-          Ok l
-      | None -> (
-          Metrics.inc t.metrics "bccd_cache_misses_total"
-            ~labels:[ ("cache", "instance") ];
-          match Io.load_string ~name:("inline-" ^ String.sub raw_digest 0 8) text with
-          | inst ->
-              let l = { digest = canonical_digest inst; inst } in
-              Cache.put t.inst_cache raw_digest l;
-              Ok l
-          | exception Failure msg -> Error (400, msg)))
+      Result.map fst
+        (cached t ~name:"instance" t.inst_cache raw_digest (fun () ->
+             match Io.load_string ~name:("inline-" ^ String.sub raw_digest 0 8) text with
+             | inst -> Ok { digest = canonical_digest inst; inst }
+             | exception Failure msg -> Error (400, msg)))
 
 (* Deadline propagation across cluster hops: the router forwards its
    remaining time budget as [X-Bcc-Deadline-Ms], so a shard never spends
    longer on a solve than the hop that asked for it is willing to wait.
    An explicit [timeout_ms] in the request still wins — the header is
    the cross-hop fallback. *)
-let header_deadline_ms (req : Http.request) =
-  match Http.header req "x-bcc-deadline-ms" with
-  | None -> None
-  | Some s -> (
-      match float_of_string_opt (String.trim s) with
-      | Some ms when Float.is_finite ms && ms > 0.0 -> Some ms
-      | _ -> None)
+let request_timeout_ms (req : Http.request) explicit =
+  match explicit with
+  | Some _ -> explicit
+  | None -> (
+      match Http.header req "x-bcc-deadline-ms" with
+      | None -> None
+      | Some s -> (
+          match float_of_string_opt (String.trim s) with
+          | Some ms when Float.is_finite ms && ms > 0.0 -> Some ms
+          | _ -> None))
 
+(* The solve's own deadline starts when the scheduler runs it. *)
+let solve_deadline = function
+  | None -> Deadline.none
+  | Some ms -> Deadline.of_timeout_ms ~label:"request" ms
+
+(* Admission rejections (429/503), under both the legacy reason-labeled
+   counter and the robustness-layer total asserted by the fault-matrix
+   tests. *)
+let count_rejected t reason =
+  Metrics.inc t.metrics "bccd_rejected_total"
+    ~labels:[ ("reason", reason) ]
+    ~help:"Connections refused or abandoned.";
+  Metrics.inc t.metrics "bcc_requests_rejected_total"
+    ~labels:[ ("reason", reason) ]
+    ~help:"Requests rejected before solving (backpressure, shutdown)."
+
+(* Fair-share admission for a computation's leader.  [job] may run on
+   another submitter's thread, so the request's correlation scope is
+   re-installed around it, and its exception is carried back and
+   re-raised here.  [Error resp] is the leader's own refusal (429, an
+   expired deadline, or the sched.enqueue fault). *)
+let admit t ~tenant ~timeout_ms job =
+  let corr = Event.current_corr () in
+  let out = ref None in
+  let run () =
+    let go () = out := Some (try Ok (job ()) with e -> Error e) in
+    if corr = "" then go () else Event.with_corr corr go
+  in
+  let deadline_s = Option.map (fun ms -> Timer.now_s () +. (ms /. 1000.)) timeout_ms in
+  match
+    Sched.submit t.sched ~tenant ?deadline_s
+      ?corr:(if corr = "" then None else Some corr)
+      run
+  with
+  | Ok () -> ( match Option.get !out with Ok v -> Ok v | Error e -> raise e)
+  | Error (Sched.Busy { retry_after_s }) ->
+      count_rejected t "tenant_queue_full";
+      Error
+        (Http.error_response 429
+           ~headers:[ ("retry-after", string_of_int retry_after_s) ]
+           (Printf.sprintf "tenant %S queue full, retry in %ds" tenant retry_after_s))
+  | Error Sched.Expired ->
+      count_rejected t "sched_deadline";
+      Error (Http.error_response 503 "deadline expired before the solve was dispatched")
+  | Error (Sched.Faulted (Fault.Injected point)) ->
+      Error (Http.error_response 500 ("injected fault: " ^ point))
+  | Error (Sched.Faulted e) -> Error (Http.error_response 500 (Printexc.to_string e))
+
+let answer_response (a : answer) ~cached =
+  let degraded =
+    match a.degraded with Some d -> [ ("degraded", Json.Bool d) ] | None -> []
+  in
+  Http.json_response 200 (Json.Obj (a.fields @ degraded @ [ ("cached", Json.Bool cached) ]))
+
+(* A finished answer is served at once; an in-flight one is joined and
+   its leader's bytes returned; otherwise this request leads: it passes
+   admission, solves, and resolves the flight.  The flight key adds the
+   explicit timeout to the stored key, so requests with different
+   timeouts never share a computation; a degraded answer is never
+   stored. *)
 let handle_solve t ep req =
-  match parse_params req with
+  match parse_solve req with
   | Error msg -> Http.error_response 400 msg
-  | Ok (src, budget, target, timeout_ms) -> (
-      match resolve_instance t src with
+  | Ok p -> (
+      match resolve_instance t p.src with
       | Error (status, msg) -> Http.error_response status msg
       | Ok { digest; inst } -> (
-          match (ep, target) with
+          match (ep, p.target) with
           | E_gmc3, None -> Http.error_response 400 "gmc3 needs a \"target\" utility"
           | _ -> (
               let inst =
-                match budget with
-                | Some b when b >= 0.0 -> Instance.with_budget inst b
-                | _ -> inst
-              in
-              let fmt_opt = function
-                | None -> "-"
-                | Some x -> Printf.sprintf "%.17g" x
+                match p.budget with Some b -> Instance.with_budget inst b | None -> inst
               in
               let key =
                 Printf.sprintf "%s|%s|b=%s|t=%s" digest (endpoint_name ep)
-                  (fmt_opt budget) (fmt_opt target)
+                  (fmt_opt p.budget) (fmt_opt p.target)
               in
-              let deadline =
-                match
-                  (match timeout_ms with
-                   | Some _ as ms -> ms
-                   | None -> header_deadline_ms req)
-                with
-                | None -> Deadline.none
-                | Some ms -> Deadline.of_timeout_ms ~label:"request" ms
-              in
-              let degraded = ref false in
+              let timeout_ms = request_timeout_ms req p.timeout_ms in
               let compute () =
+                let deadline = solve_deadline timeout_ms in
                 let timer = Timer.start () in
-                let fields =
+                let fields, degraded =
                   match ep with
                   | E_solve ->
                       let r = Solver.solve_within ~deadline inst in
-                      if r.Solver.degraded then degraded := true;
-                      solution_fields inst r.Solver.solution
+                      (solution_fields inst r.Solver.solution, r.Solver.degraded)
                   | E_gmc3 ->
                       (* GMC3/ECC inherit the deadline ambiently (their
                          inner solves degrade rather than raise); the
@@ -388,72 +459,58 @@ let handle_solve t ep req =
                          composite result degraded. *)
                       let r =
                         Deadline.with_current deadline @@ fun () ->
-                        Gmc3.solve inst ~target:(Option.get target)
+                        Gmc3.solve inst ~target:(Option.get p.target)
                       in
-                      if Deadline.expired deadline then degraded := true;
-                      solution_fields inst r.Gmc3.solution
-                      @ [
-                          ("reached", Json.Bool r.Gmc3.reached);
-                          ("budget_used", Json.Num r.Gmc3.budget_used);
-                        ]
+                      ( solution_fields inst r.Gmc3.solution
+                        @ [
+                            ("reached", Json.Bool r.Gmc3.reached);
+                            ("budget_used", Json.Num r.Gmc3.budget_used);
+                          ],
+                        Deadline.expired deadline )
                   | E_ecc ->
                       let sol =
                         Deadline.with_current deadline @@ fun () -> Ecc.solve inst
                       in
-                      if Deadline.expired deadline then degraded := true;
-                      solution_fields inst sol
-                      @ [ ("ratio", Json.Num (Ecc.ratio_of sol)) ]
+                      ( solution_fields inst sol @ [ ("ratio", Json.Num (Ecc.ratio_of sol)) ],
+                        Deadline.expired deadline )
                 in
-                Metrics.observe t.metrics "bccd_solve_duration_seconds"
-                  ~labels:[ ("endpoint", endpoint_name ep) ]
+                let labels = [ ("endpoint", endpoint_name ep) ] in
+                Metrics.observe t.metrics "bccd_solve_duration_seconds" ~labels
                   ~help:"Time spent computing uncached solves."
                   (Timer.elapsed_s timer);
-                Json.Obj
-                  (( "instance",
-                     Json.Str
-                       (match src with
-                       | `Named n -> n
-                       | `Inline _ -> Instance.name inst) )
-                  :: ("digest", Json.Str digest)
-                  :: ("budget", Json.Num (Instance.budget inst))
-                  :: fields)
+                if degraded then
+                  Metrics.inc t.metrics "bcc_requests_degraded_total" ~labels
+                    ~help:"Requests answered with a degraded (deadline-cut) solution.";
+                if (not (Deadline.is_none deadline)) && Deadline.expired deadline then
+                  Metrics.inc t.metrics "bcc_deadline_exceeded_total" ~labels
+                    ~help:"Requests whose deadline expired during handling.";
+                {
+                  fields =
+                    ( "instance",
+                      Json.Str
+                        (match p.src with
+                        | `Named n -> n
+                        | `Inline _ -> Instance.name inst) )
+                    :: ("digest", Json.Str digest)
+                    :: ("budget", Json.Num (Instance.budget inst))
+                    :: fields;
+                  degraded = (if Deadline.is_none deadline then None else Some degraded);
+                }
               in
               match
-                match cache_find t ~name:"solution" t.sol_cache key with
-                | Some json -> (json, true)
-                | None ->
-                    let json = compute () in
-                    (* A degraded result is what the deadline allowed,
-                       not the instance's answer — never memoize it. *)
-                    if not !degraded then Cache.put t.sol_cache key json;
-                    (json, false)
+                cached t ~name:"solution" t.sol_cache
+                  ~flight:(key ^ "|to=" ^ fmt_opt p.timeout_ms)
+                  ~keep:(fun a -> a.degraded <> Some true)
+                  key
+                  (fun () -> admit t ~tenant:p.tenant ~timeout_ms compute)
               with
-              | json, was_hit ->
-                  Metrics.inc t.metrics
-                    (if was_hit then "bccd_cache_hits_total"
-                     else "bccd_cache_misses_total")
-                    ~labels:[ ("cache", "solution") ];
-                  if !degraded then begin
-                    Metrics.inc t.metrics "bcc_requests_degraded_total"
-                      ~labels:[ ("endpoint", endpoint_name ep) ]
-                      ~help:"Requests answered with a degraded (deadline-cut) solution."
-                  end;
-                  if (not (Deadline.is_none deadline)) && Deadline.expired deadline
-                  then
-                    Metrics.inc t.metrics "bcc_deadline_exceeded_total"
-                      ~labels:[ ("endpoint", endpoint_name ep) ]
-                      ~help:"Requests whose deadline expired during handling.";
-                  let extra =
-                    (if Deadline.is_none deadline then []
-                     else [ ("degraded", Json.Bool !degraded) ])
-                    @ [ ("cached", Json.Bool was_hit) ]
-                  in
-                  let json =
-                    match json with
-                    | Json.Obj fields -> Json.Obj (fields @ extra)
-                    | j -> j
-                  in
-                  Http.json_response 200 json
+              | Ok (a, false) -> answer_response a ~cached:false
+              | Ok (a, true) ->
+                  (* A stored answer was never degraded; the flag follows
+                     this request's own deadline. *)
+                  answer_response ~cached:true
+                    { a with degraded = Option.map (fun _ -> false) timeout_ms }
+              | Error resp -> resp
               | exception Failure msg -> Http.error_response 400 msg)))
 
 (* --- workload store endpoints --- *)
@@ -543,6 +600,9 @@ let handle_workload_delta t name req =
       | Ok info -> Http.json_response 200 (info_json info)
       | Error e -> store_error e)
 
+(* Workload solves are shared only while in flight: the flight key pins
+   the epoch and every option that changes the answer, and nothing is
+   stored, because a workload is re-solved on every request. *)
 let handle_workload_solve t name req =
   let flag param =
     match Http.query_param req param with
@@ -550,44 +610,55 @@ let handle_workload_solve t name req =
     | Some ("1" | "true" | "yes") -> Ok true
     | Some s -> Error (Printf.sprintf "bad ?%s=%s" param s)
   in
-  let cold = flag "cold" in
-  let incremental = flag "incremental" in
-  let deadline =
+  let explicit_ms =
     match Http.query_param req "timeout_ms" with
-    | None -> (
-        match header_deadline_ms req with
-        | Some ms -> Ok (Deadline.of_timeout_ms ~label:"request" ms)
-        | None -> Ok Deadline.none)
+    | None -> Ok None
     | Some s -> (
         match float_of_string_opt s with
-        | Some ms when Float.is_finite ms && ms > 0.0 ->
-            Ok (Deadline.of_timeout_ms ~label:"request" ms)
+        | Some ms when Float.is_finite ms && ms > 0.0 -> Ok (Some ms)
         | _ -> Error "timeout_ms must be a positive number of milliseconds")
   in
-  match (cold, incremental, deadline) with
+  match (flag "cold", flag "incremental", explicit_ms) with
   | Error msg, _, _ | _, Error msg, _ | _, _, Error msg -> Http.error_response 400 msg
-  | Ok cold, Ok incremental, Ok deadline -> (
-      match Store.solve t.store ~name ~cold ~incremental ~deadline () with
-      | Ok s ->
-          Metrics.observe t.metrics "bccd_solve_duration_seconds"
-            ~labels:[ ("endpoint", "workload") ]
-            ~help:"Time spent computing uncached solves." s.Store.wall_s;
-          if incremental then begin
-            Metrics.inc t.metrics "bcc_resolve_components_total"
-              ~by:(float_of_int s.Store.components_total)
-              ~help:"Pipeline components staged by incremental re-solves.";
-            Metrics.inc t.metrics "bcc_resolve_components_reused_total"
-              ~by:(float_of_int s.Store.components_reused)
-              ~help:"Pipeline component curves served from the artifact cache.";
-            Metrics.observe t.metrics "bcc_resolve_wall_seconds"
-              ~help:"Wall time of incremental (pipeline) re-solves." s.Store.wall_s
-          end;
-          if s.Store.degraded then
-            Metrics.inc t.metrics "bcc_requests_degraded_total"
-              ~labels:[ ("endpoint", "workload") ]
-              ~help:"Requests answered with a degraded (deadline-cut) solution.";
-          Http.json_response 200 (solved_json s)
-      | Error e -> store_error e)
+  | Ok cold, Ok incremental, Ok explicit_ms -> (
+      match Store.info t.store name with
+      | None -> store_error `Not_found
+      | Some i -> (
+          let timeout_ms = request_timeout_ms req explicit_ms in
+          let compute () =
+            let deadline = solve_deadline timeout_ms in
+            match Store.solve t.store ~name ~cold ~incremental ~deadline () with
+            | Ok s ->
+                Metrics.observe t.metrics "bccd_solve_duration_seconds"
+                  ~labels:[ ("endpoint", "workload") ]
+                  ~help:"Time spent computing uncached solves." s.Store.wall_s;
+                if incremental then begin
+                  Metrics.inc t.metrics "bcc_resolve_components_total"
+                    ~by:(float_of_int s.Store.components_total)
+                    ~help:"Pipeline components staged by incremental re-solves.";
+                  Metrics.inc t.metrics "bcc_resolve_components_reused_total"
+                    ~by:(float_of_int s.Store.components_reused)
+                    ~help:"Pipeline component curves served from the artifact cache.";
+                  Metrics.observe t.metrics "bcc_resolve_wall_seconds"
+                    ~help:"Wall time of incremental (pipeline) re-solves." s.Store.wall_s
+                end;
+                if s.Store.degraded then
+                  Metrics.inc t.metrics "bcc_requests_degraded_total"
+                    ~labels:[ ("endpoint", "workload") ]
+                    ~help:"Requests answered with a degraded (deadline-cut) solution.";
+                Http.json_response 200 (solved_json s)
+            | Error e -> store_error e
+          in
+          let flight =
+            Printf.sprintf "%s|e=%d|cold=%b|incr=%b|to=%s" name i.Store.epoch cold
+              incremental (fmt_opt explicit_ms)
+          in
+          match
+            cached t ~name:"workload" t.wl_flights ~keep:(fun _ -> false) flight
+              (fun () -> admit t ~tenant:(tenant_of req) ~timeout_ms compute)
+          with
+          | Ok (resp, _) -> resp
+          | Error resp -> resp))
 
 let handle_workload_solution t name =
   match Store.solution t.store name with
@@ -760,6 +831,9 @@ let handle_solves req =
                Json.List (List.map (solve_json ~detail:false) (Recorder.solves ())) );
            ])
 
+(* Requests that joined an in-flight computation instead of computing. *)
+let coalesced_total t = Cache.joins t.sol_cache + Cache.joins t.wl_flights
+
 let handle_sched_debug t =
   let ss = Sched.stats t.sched in
   let cs = Curve_cache.stats t.curve_cache in
@@ -769,8 +843,8 @@ let handle_sched_debug t =
         ("tenant", Json.Str ti.Sched.Core.ti_tenant);
         ("weight", Json.Num (float_of_int ti.Sched.Core.ti_weight));
         ("deficit", Json.Num (float_of_int ti.Sched.Core.ti_deficit));
-        ("queued_batches", Json.Num (float_of_int ti.Sched.Core.ti_queued_batches));
-        ("queued_waiters", Json.Num (float_of_int ti.Sched.Core.ti_queued_waiters));
+        ("queued_batches", Json.Num (float_of_int ti.Sched.Core.ti_queued));
+        ("queued_waiters", Json.Num (float_of_int ti.Sched.Core.ti_queued));
         ("dispatched", Json.Num (float_of_int ti.Sched.Core.ti_dispatched));
       ]
   in
@@ -778,11 +852,11 @@ let handle_sched_debug t =
     (Json.Obj
        [
          ("batches_total", Json.Num (float_of_int ss.Sched.batches_total));
-         ("coalesced_total", Json.Num (float_of_int ss.Sched.coalesced_total));
+         ("coalesced_total", Json.Num (float_of_int (coalesced_total t)));
          ("rejected_total", Json.Num (float_of_int ss.Sched.rejected_total));
          ("expired_total", Json.Num (float_of_int ss.Sched.expired_total));
-         ("queued_batches", Json.Num (float_of_int ss.Sched.queued_batches));
-         ("queued_waiters", Json.Num (float_of_int ss.Sched.queued_waiters));
+         ("queued_batches", Json.Num (float_of_int ss.Sched.queued));
+         ("queued_waiters", Json.Num (float_of_int ss.Sched.queued));
          ("running", Json.Num (float_of_int ss.Sched.running));
          ("est_batch_s", Json.Num ss.Sched.est_batch_s);
          ("tenants", Json.List (List.map tenant_json ss.Sched.tenants));
@@ -800,14 +874,24 @@ let handle_sched_debug t =
        ])
 
 let handle_metrics t =
+  (* Counters kept by other modules are polled on scrape: each scrape
+     adds the growth since the last one. *)
+  let delta_inc name ?(labels = []) ?help live =
+    Metrics.inc t.metrics name ~labels ?help
+      ~by:(live -. Metrics.counter_value t.metrics name ~labels)
+  in
   let cache_gauges name cache =
-    Metrics.set t.metrics "bccd_cache_entries" ~labels:[ ("cache", name) ]
+    let labels = [ ("cache", name) ] in
+    Metrics.set t.metrics "bccd_cache_entries" ~labels
       ~help:"Live entries per cache."
       (float_of_int (Cache.length cache));
-    Metrics.inc t.metrics "bccd_cache_evictions_total" ~labels:[ ("cache", name) ]
-      ~by:(float_of_int (Cache.evictions cache)
-          -. Metrics.counter_value t.metrics "bccd_cache_evictions_total"
-               ~labels:[ ("cache", name) ])
+    delta_inc "bccd_cache_evictions_total" ~labels (float_of_int (Cache.evictions cache));
+    delta_inc "bccd_cache_hits_total" ~labels
+      ~help:"Lookups answered from a finished entry."
+      (float_of_int (Cache.hits cache));
+    delta_inc "bccd_cache_misses_total" ~labels
+      ~help:"Lookups that computed the entry."
+      (float_of_int (Cache.misses cache))
   in
   cache_gauges "solution" t.sol_cache;
   cache_gauges "instance" t.inst_cache;
@@ -862,19 +946,14 @@ let handle_metrics t =
             r
       | None -> ())
     (Store.list t.store);
-  (* Scheduler and shared-curve-cache series, polled with the same
-     delta-inc pattern as the engine counters. *)
-  let delta_inc name ?(labels = []) ?help live =
-    Metrics.inc t.metrics name ~labels ?help
-      ~by:(live -. Metrics.counter_value t.metrics name ~labels)
-  in
+  (* Scheduler and shared-curve-cache series. *)
   let ss = Sched.stats t.sched in
   delta_inc "bcc_sched_batches_total"
-    ~help:"Solve batches dispatched by the batch scheduler."
+    ~help:"Solve jobs dispatched by the scheduler."
     (float_of_int ss.Sched.batches_total);
   delta_inc "bcc_sched_coalesced_total"
-    ~help:"Solve requests that joined an already-queued batch group."
-    (float_of_int ss.Sched.coalesced_total);
+    ~help:"Solve requests that joined an in-flight computation."
+    (float_of_int (coalesced_total t));
   delta_inc "bcc_sched_rejected_total"
     ~help:"Solve requests refused by per-tenant admission."
     (float_of_int ss.Sched.rejected_total);
@@ -882,23 +961,23 @@ let handle_metrics t =
     ~help:"Queued solve requests whose deadline lapsed before dispatch."
     (float_of_int ss.Sched.expired_total);
   Metrics.set t.metrics "bcc_sched_queue_depth"
-    ~help:"Solve batches waiting for dispatch."
-    (float_of_int ss.Sched.queued_batches);
+    ~help:"Solve jobs waiting for dispatch."
+    (float_of_int ss.Sched.queued);
   Metrics.set t.metrics "bcc_sched_running"
-    ~help:"Solve batches currently executing."
+    ~help:"Solve jobs currently executing."
     (float_of_int ss.Sched.running);
   Metrics.set t.metrics "bcc_sched_batch_seconds_est"
-    ~help:"EWMA of recent batch wall times (drives 429 retry-after)."
+    ~help:"EWMA of recent solve job wall times (drives 429 retry-after)."
     ss.Sched.est_batch_s;
   List.iter
     (fun (ti : Sched.Core.tenant_info) ->
       let labels = [ ("tenant", ti.Sched.Core.ti_tenant) ] in
       delta_inc "bcc_sched_dispatched_total" ~labels
-        ~help:"Batches dispatched, by tenant."
+        ~help:"Solve jobs dispatched, by tenant."
         (float_of_int ti.Sched.Core.ti_dispatched);
       Metrics.set t.metrics "bcc_sched_tenant_queued_waiters" ~labels
-        ~help:"Waiters queued, by tenant."
-        (float_of_int ti.Sched.Core.ti_queued_waiters))
+        ~help:"Solve jobs queued, by tenant."
+        (float_of_int ti.Sched.Core.ti_queued))
     ss.Sched.tenants;
   let cs = Curve_cache.stats t.curve_cache in
   Metrics.set t.metrics "bcc_curve_cache_entries"
@@ -966,151 +1045,10 @@ let handle_direct t (req : Http.request) =
       Http.error_response 405 ("use GET for " ^ req.path)
   | _ -> Http.error_response 404 ("no such endpoint: " ^ req.path)
 
-(* --- scheduled solve admission --- *)
-
-(* Admission rejections (429/503), under both the legacy reason-labeled
-   counter and the robustness-layer total asserted by the fault-matrix
-   tests. *)
-let count_rejected t reason =
-  Metrics.inc t.metrics "bccd_rejected_total"
-    ~labels:[ ("reason", reason) ]
-    ~help:"Connections refused or abandoned.";
-  Metrics.inc t.metrics "bcc_requests_rejected_total"
-    ~labels:[ ("reason", reason) ]
-    ~help:"Requests rejected before solving (backpressure, shutdown)."
-
-(* Tenant identity for fair-share admission: ?tenant= query param, then
-   the [x-bcc-tenant] header, then a "tenant" field of a JSON body;
-   anonymous traffic shares the "default" tenant. *)
-let tenant_of (req : Http.request) =
-  let nonempty = function Some "" | None -> None | Some s -> Some s in
-  let from_body () =
-    let b = String.trim req.Http.body in
-    if b = "" || b.[0] <> '{' then None
-    else
-      match Json.of_string b with
-      | Ok j -> nonempty (Option.bind (Json.member "tenant" j) Json.get_string)
-      | Error _ -> None
-  in
-  match nonempty (Http.query_param req "tenant") with
-  | Some t -> t
-  | None -> (
-      match nonempty (Http.header req "x-bcc-tenant") with
-      | Some t -> t
-      | None -> ( match from_body () with Some t -> t | None -> "default"))
-
-(* The request's timeout, as an absolute queue deadline: a request that
-   cannot finish in time should be pruned from the queue, not solved. *)
-let request_deadline_s (req : Http.request) =
-  let from_query =
-    Option.bind (Http.query_param req "timeout_ms") float_of_string_opt
-  in
-  let from_body () =
-    let b = String.trim req.Http.body in
-    if b = "" || b.[0] <> '{' then None
-    else
-      match Json.of_string b with
-      | Ok j -> Option.bind (Json.member "timeout_ms" j) Json.get_num
-      | Error _ -> None
-  in
-  let explicit =
-    match from_query with Some ms -> Some ms | None -> from_body ()
-  in
-  match
-    (match explicit with Some _ -> explicit | None -> header_deadline_ms req)
-  with
-  | Some ms when Float.is_finite ms && ms > 0.0 ->
-      Some (Timer.now_s () +. (ms /. 1000.))
-  | _ -> None
-
-let default_options_fp = lazy (Pipeline.options_fingerprint Solver.default_options)
-
-(* Coalescing identity.  [key] is the artifact-sharing identity — same
-   instance content (or same workload at the same epoch) under the same
-   solver options; distinct budgets on one key belong in one batch,
-   priced off the same component curves.  [subkey] adds everything that
-   changes the response bytes, so only bit-identical requests share a
-   computed result.  [None] routes around the scheduler (the direct
-   path produces the 400/404). *)
-let sched_keys t (req : Http.request) =
-  if req.Http.meth <> "POST" then None
-  else
-    let optfp = Lazy.force default_options_fp in
-    let fmt_opt = function None -> "-" | Some x -> Printf.sprintf "%.17g" x in
-    match req.Http.path with
-    | "/solve" | "/gmc3" | "/ecc" -> (
-        match parse_params req with
-        | Error _ -> None
-        | Ok (src, budget, target, timeout_ms) ->
-            let src_id =
-              match src with
-              | `Named n -> "n:" ^ n
-              | `Inline text -> "i:" ^ Digest.to_hex (Digest.string text)
-            in
-            let key = Printf.sprintf "s|%s|%s|%s" req.Http.path src_id optfp in
-            let subkey =
-              Printf.sprintf "%s|b=%s|t=%s|to=%s" key (fmt_opt budget)
-                (fmt_opt target) (fmt_opt timeout_ms)
-            in
-            Some (key, subkey))
-    | path -> (
-        match String.split_on_char '/' path with
-        | [ ""; "workloads"; name; "solve" ] -> (
-            match Store.info t.store name with
-            | None -> None
-            | Some i ->
-                let q name = Option.value ~default:"" (Http.query_param req name) in
-                let key =
-                  Printf.sprintf "w|%s|e=%d|%s|c=%s|i=%s" name i.Store.epoch
-                    optfp (q "cold") (q "incremental")
-                in
-                Some (key, Printf.sprintf "%s|to=%s" key (q "timeout_ms")))
-        | _ -> None)
-
-(* Solve traffic goes through the batch scheduler: concurrent identical
-   requests coalesce into one computation, tenants get weighted fair
-   share, and a full tenant queue answers 429 with a clamped
-   retry-after.  Everything else (health, metrics, workload CRUD) stays
-   on the direct path. *)
-let handle t (req : Http.request) =
-  match t.cfg.forward req with
-  | Some resp -> resp
-  | None -> (
-  match sched_keys t req with
-  | None -> handle_direct t req
-  | Some (key, subkey) -> (
-      let tenant = tenant_of req in
-      let deadline_s = request_deadline_s req in
-      let corr = Event.current_corr () in
-      let run () =
-        (* May run on another submitter's thread: re-install the
-           originating request's correlation scope. *)
-        let direct () =
-          try handle_direct t req with
-          | Failure msg -> Http.error_response 400 msg
-          | e -> Http.error_response 500 (Printexc.to_string e)
-        in
-        if corr = "" then direct () else Event.with_corr corr direct
-      in
-      match
-        Sched.submit t.sched ~tenant ?deadline_s
-          ?corr:(if corr = "" then None else Some corr)
-          ~key ~subkey run
-      with
-      | Ok resp -> resp
-      | Error (Sched.Busy { retry_after_s }) ->
-          count_rejected t "tenant_queue_full";
-          Http.error_response 429
-            ~headers:[ ("retry-after", string_of_int retry_after_s) ]
-            (Printf.sprintf "tenant %S queue full, retry in %ds" tenant
-               retry_after_s)
-      | Error Sched.Expired ->
-          count_rejected t "sched_deadline";
-          Http.error_response 503 "deadline expired before the solve was dispatched"
-      | Error (Sched.Faulted (Fault.Injected point)) ->
-          Http.error_response 500 ("injected fault: " ^ point)
-      | Error (Sched.Faulted e) ->
-          Http.error_response 500 (Printexc.to_string e)))
+(* The cluster hook goes first: [Some resp] is the owning shard's (or
+   the failover path's) answer. *)
+let handle t req =
+  match t.cfg.forward req with Some resp -> resp | None -> handle_direct t req
 
 (* --- connection plumbing --- *)
 
@@ -1203,6 +1141,8 @@ let serve_conn t fd enqueued_at =
                 let run () =
                   try handle t req with
                   | Failure msg -> Http.error_response 400 msg
+                  | Fault.Injected point ->
+                      Http.error_response 500 ("injected fault: " ^ point)
                   | e -> Http.error_response 500 (Printexc.to_string e)
                 in
                 let resp =

@@ -7,11 +7,11 @@
     the door (backpressure) instead of buffering unbounded work, and
     requests that outwait the timeout in the queue are answered [503]
     without being solved.  Results are
-    memoized in a content-addressed LRU ({!Cache}) keyed by
-    (instance digest, endpoint, budget, target), so a budget sweep over
-    a fixed workload — the paper's Section 6 evaluation pattern — pays
-    the instance parse and the [A^BCC] run once per distinct budget and
-    the parse once overall.
+    memoized in a content-addressed single-flight LRU ({!Cache}) keyed
+    by (instance digest, endpoint, budget, target), so a budget sweep
+    over a fixed workload — the paper's Section 6 evaluation pattern —
+    pays the instance parse once overall and the [A^BCC] run once per
+    distinct budget, however many callers ask at once.
 
     Endpoints:
     - [POST /solve], [POST /gmc3], [POST /ecc] — body is either the
@@ -50,25 +50,26 @@
       the anytime utility curve, the raw wide events and the spans that
       overlapped the solve; incremental solves additionally carry
       [components_total]/[components_reused] on their summary rows;
-    - [GET /debug/sched] — the live {!Bcc_sched.Sched} state: batch /
-      coalescing counters, per-tenant deficit-round-robin standings and
+    - [GET /debug/sched] — the live {!Bcc_sched.Sched} state: dispatch
+      and join counters, per-tenant deficit-round-robin standings and
       the shared curve cache's occupancy.
 
-    {2 Batch scheduling and multi-tenancy}
+    {2 Single flight and multi-tenancy}
 
-    Solve traffic ([POST /solve]/[/gmc3]/[/ecc] and
-    [POST /workloads/:name/solve]) is admitted through a
-    {!Bcc_sched.Sched} between the accept loop and the engine:
-    concurrent requests for the same instance content (or the same
-    workload epoch) under the same solver options coalesce into one
-    batch — bit-identical requests share one computed response; distinct
-    budgets on the same key run as sibling groups priced off the same
-    curves.  Requests name a tenant ([?tenant=] query parameter,
-    [x-bcc-tenant] header, or a JSON ["tenant"] field; default
+    A solve request ([POST /solve]/[/gmc3]/[/ecc] and
+    [POST /workloads/:name/solve]) is parsed once, then looked up in the
+    single-flight {!Cache}: a finished answer is returned at once, an
+    identical request already being computed (same key and timeout) is
+    joined and its response returned byte for byte, and otherwise the
+    request leads — only leaders pass the {!Bcc_sched.Sched} admission
+    between the accept loop and the engine.  Degraded answers are never
+    stored, and workload solves are shared only while in flight.
+    Requests name a tenant ([?tenant=] query parameter, [x-bcc-tenant]
+    header, or a JSON ["tenant"] field of a [/solve]-style body; default
     ["default"]) and tenants receive weighted fair share via deficit
-    round-robin ([tenant_weights]); a tenant whose queue exceeds
-    [tenant_depth] is answered [429] with a [retry-after] of at least
-    1 s.  [/metrics] exports the [bcc_sched_*] and [bcc_curve_cache_*]
+    round-robin ([tenant_weights]); a tenant with [tenant_depth] leaders
+    queued is answered [429] with a [retry-after] of at least 1 s.
+    [/metrics] exports the [bcc_sched_*] and [bcc_curve_cache_*]
     series.
 
     {2 Request correlation}
@@ -109,10 +110,10 @@ type config = {
           written to [<dir>/<corr>.jsonl] on completion; [None] disables
           automatic dumps *)
   sched_concurrency : int;
-      (** concurrently executing solve batches; [<= 0] auto-sizes to
-          [workers - 1] (min 1), leaving a worker free to feed — and
-          coalesce into — the next batch *)
-  tenant_depth : int;  (** max queued solve requests per tenant (429 beyond) *)
+      (** concurrently executing solves; [<= 0] auto-sizes to
+          [workers - 1] (min 1), leaving a worker free for cache hits
+          and the accept path *)
+  tenant_depth : int;  (** max queued solve leaders per tenant (429 beyond) *)
   tenant_weights : (string * int) list;
       (** fair-share weights by tenant name; absent tenants weigh 1 *)
   curve_cache_mb : int;
@@ -129,7 +130,7 @@ type config = {
 val default_config : config
 (** 127.0.0.1:8080, auto-sized workers, queue 64, 256 cache entries,
     30 s timeout, nothing preloaded, 4096-span trace buffer, in-memory
-    store, auto batch concurrency, tenant depth 32, 64 MiB curve
+    store, auto solve concurrency, tenant depth 32, 64 MiB curve
     cache. *)
 
 type t

@@ -139,6 +139,11 @@ let drain_output d =
   close_in d.out;
   Buffer.contents buf
 
+let metrics_of port =
+  let status, body = request ~port ~meth:"GET" ~path:"/metrics" () in
+  Alcotest.(check int) "metrics status" 200 status;
+  body
+
 (* --- fixtures --- *)
 
 let fixture_file () =
@@ -403,6 +408,39 @@ let error_paths () =
       | Unix.WEXITED 0 -> ()
       | _ -> Alcotest.fail "daemon did not exit cleanly")
 
+(* A negative budget is refused on every solve endpoint, from the body
+   or the query, as PUT /workloads refuses it; it never reaches the
+   solver or the result cache. *)
+let negative_budget_400 () =
+  let file, _inst = fixture_file () in
+  let d = start_daemon [ "--workers"; "2"; "--load"; "fig=" ^ file ] in
+  Fun.protect
+    ~finally:(fun () ->
+      (try Unix.kill d.pid Sys.sigkill with Unix.Unix_error _ -> ());
+      (try ignore (Unix.waitpid [] d.pid) with Unix.Unix_error _ -> ());
+      close_in d.out;
+      Sys.remove file)
+    (fun () ->
+      List.iter
+        (fun path ->
+          let status, body =
+            request ~port:d.port ~meth:"POST" ~path
+              ~body:{|{"instance":"fig","budget":-1,"target":9}|} ()
+          in
+          Alcotest.(check int) (path ^ ": negative body budget -> 400") 400 status;
+          Alcotest.(check bool) (path ^ ": the error names the budget") true
+            (contains body "budget");
+          Alcotest.(check int) (path ^ ": negative ?budget= -> 400") 400
+            (fst
+               (request ~port:d.port ~meth:"POST" ~path:(path ^ "?budget=-1")
+                  ~body:{|{"instance":"fig","target":9}|} ())))
+        [ "/solve"; "/gmc3"; "/ecc" ];
+      let m = metrics_of d.port in
+      Alcotest.(check bool) "no solve ran" true
+        (metric_value m {|bccd_solve_duration_seconds_count{endpoint="solve"}|} = None);
+      Alcotest.(check (option (float 1e-9))) "nothing was cached" (Some 0.0)
+        (metric_value m {|bccd_cache_entries{cache="solution"}|}))
+
 (* --- fault matrix: env-armed injections against the live daemon --- *)
 
 let with_daemon ?faults args f =
@@ -425,10 +463,7 @@ let with_daemon ?faults args f =
 
 let solve_body = {|{"instance":"fig","budget":4}|}
 
-let metrics d =
-  let status, body = request ~port:d.port ~meth:"GET" ~path:"/metrics" () in
-  Alcotest.(check int) "metrics status" 200 status;
-  body
+let metrics d = metrics_of d.port
 
 (* A worker that dies mid-task costs exactly one request; the cache
    fault is swallowed (error counter + treated as a miss). *)
@@ -936,14 +971,19 @@ let sched_debug d =
   Alcotest.(check int) "debug/sched status" 200 status;
   Json.of_string_exn (String.trim body)
 
-(* Wedge the single scheduler slot with a one-shot delayed cache lookup:
-   the first /solve dispatches immediately and stalls inside its batch,
-   so everything arriving meanwhile provably joins one pending batch
-   that runs exactly once when the slot frees up. *)
+(* Seven concurrent identical /solve requests from three tenants run the
+   solver once.  A one-shot delay on the leader's first engine task
+   holds it inside its solve, so the six followers provably arrive while
+   it is in flight: they join it, skip admission, and get the leader's
+   bytes.  A later repeat is a cache hit that never enters the
+   scheduler. *)
 let sched_coalescing_e2e () =
-  with_daemon ~faults:"cache.get:delay:1.5:1"
+  with_daemon ~faults:"engine.task:delay:1.5:1"
     [ "--workers"; "8"; "--sched-concurrency"; "1" ]
     (fun d inst ->
+      let counter m name = Option.value ~default:0.0 (metric_value m name) in
+      let solves m = counter m {|bccd_solve_duration_seconds_count{endpoint="solve"}|} in
+      let solves0 = solves (metrics d) in
       let results = Array.make 7 (-1, "") in
       let fire i body =
         Thread.create
@@ -953,7 +993,7 @@ let sched_coalescing_e2e () =
       in
       let t0 = fire 0 solve_body in
       Thread.delay 0.4;
-      (* slot is wedged: these six share one pending batch across tenants *)
+      (* the leader is wedged in its solve: these six join it *)
       let followers =
         List.mapi
           (fun j tenant ->
@@ -969,38 +1009,41 @@ let sched_coalescing_e2e () =
           verify_response inst ~budget:4.0 json;
           Alcotest.(check (float 1e-6))
             (Printf.sprintf "solve[%d] optimal utility" i)
-            9.0 (num_field "utility" json))
+            9.0 (num_field "utility" json);
+          Alcotest.(check string)
+            (Printf.sprintf "solve[%d] byte-identical to the leader's" i)
+            (snd results.(0)) body)
         results;
-      let at_least m name lo =
-        match metric_value m name with
-        | Some n -> Alcotest.(check bool) (name ^ " populated") true (n >= lo)
-        | None -> Alcotest.failf "%s missing" name
-      in
       let m = metrics d in
-      (* the wedged request is its own batch; the followers coalesced *)
-      at_least m "bcc_sched_batches_total" 2.0;
-      at_least m "bcc_sched_coalesced_total" 1.0;
-      at_least m {|bcc_sched_dispatched_total{tenant="default"}|} 1.0;
+      Alcotest.(check (float 1e-9)) "the solver ran once" 1.0 (solves m -. solves0);
+      Alcotest.(check (float 1e-9)) "only the leader was admitted" 1.0
+        (counter m "bcc_sched_batches_total");
+      Alcotest.(check (float 1e-9)) "the six followers joined it" 6.0
+        (counter m "bcc_sched_coalesced_total");
+      Alcotest.(check (float 1e-9)) "the leader's tenant was charged" 1.0
+        (counter m {|bcc_sched_dispatched_total{tenant="default"}|});
       Alcotest.(check bool) "curve cache gauges exported" true
         (metric_value m "bcc_curve_cache_entries" <> None
         && metric_value m "bcc_curve_cache_bytes" <> None);
+      (* a repeat is a hit: answered without entering the scheduler *)
+      let status, body =
+        request ~port:d.port ~meth:"POST" ~path:"/solve" ~body:solve_body ()
+      in
+      Alcotest.(check int) "repeat status" 200 status;
+      Alcotest.(check (option bool)) "repeat served from cache" (Some true)
+        (Json.get_bool (get_field "cached" (Json.of_string_exn (String.trim body))));
       let js = sched_debug d in
-      Alcotest.(check bool) "debug batches >= 2" true
-        (num_field "batches_total" js >= 2.0);
-      Alcotest.(check bool) "debug coalesced >= 1" true
-        (num_field "coalesced_total" js >= 1.0);
+      Alcotest.(check (float 1e-9)) "a hit does not raise batches_total" 1.0
+        (num_field "batches_total" js);
+      Alcotest.(check (float 1e-9)) "debug coalesced counts the joins" 6.0
+        (num_field "coalesced_total" js);
       Alcotest.(check (float 1e-9)) "queue drained" 0.0 (num_field "queued_waiters" js);
       Alcotest.(check (float 1e-9)) "nothing running" 0.0 (num_field "running" js);
       (match Json.get_list (get_field "tenants" js) with
       | Some tl ->
-          let names =
-            List.filter_map (fun e -> Json.get_string (get_field "tenant" e)) tl
-          in
-          List.iter
-            (fun n ->
-              if not (List.mem n names) then
-                Alcotest.failf "tenant %S missing from /debug/sched" n)
-            [ "alpha"; "beta"; "default" ]
+          Alcotest.(check (list string)) "joiners never reach the scheduler"
+            [ "default" ]
+            (List.filter_map (fun e -> Json.get_string (get_field "tenant" e)) tl)
       | None -> Alcotest.fail "tenants is not a list");
       Alcotest.(check bool) "curve cache byte bound positive" true
         (num_field "max_bytes" (get_field "curve_cache" js) > 0.0);
@@ -1012,7 +1055,8 @@ let sched_coalescing_e2e () =
            (request ~port:d.port ~meth:"POST"
               ~path:"/workloads/wfig/solve?incremental=true" ~body:"" ()));
       let m = metrics d in
-      at_least m "bcc_curve_cache_insertions_total" 1.0;
+      Alcotest.(check bool) "curve cache insertions counted" true
+        (counter m "bcc_curve_cache_insertions_total" >= 1.0);
       Alcotest.(check bool) "curve cache holds entries" true
         (num_field "entries" (get_field "curve_cache" (sched_debug d)) >= 1.0))
 
@@ -1038,11 +1082,13 @@ let fault_sched_enqueue () =
         (num_field "queued_waiters" js);
       Alcotest.(check (float 1e-9)) "nothing running" 0.0 (num_field "running" js))
 
-(* Per-tenant admission: with the slot wedged and --tenant-depth 1, a
-   tenant's second queued waiter bounces with 429 + retry-after while
-   another tenant is still admitted into the same pending batch. *)
+(* Per-tenant admission: with the slot wedged by a one-shot delay in the
+   leader's solve and --tenant-depth 1, a tenant's second queued solve
+   bounces with 429 + retry-after while another tenant is still
+   admitted.  Every request asks for a different budget: an identical
+   one would join an in-flight solve instead of queueing. *)
 let fault_tenant_depth_429 () =
-  with_daemon ~faults:"cache.get:delay:1.5:1"
+  with_daemon ~faults:"engine.task:delay:1.5:1"
     [ "--workers"; "8"; "--sched-concurrency"; "1"; "--tenant-depth"; "1" ]
     (fun d _inst ->
       let body_of tenant budget =
@@ -1056,13 +1102,13 @@ let fault_tenant_depth_429 () =
       in
       let t1 = fire r1 (body_of "cap" 4.0) in
       Thread.delay 0.4;
-      (* slot wedged by r1's batch; this queues cap's one allowed waiter *)
+      (* slot wedged by r1's solve; this queues cap's one allowed job *)
       let t2 = fire r2 (body_of "cap" 11.0) in
       Thread.delay 0.3;
-      (* cap's second queued waiter: bounced at admission *)
+      (* cap's second queued job: bounced at admission *)
       let status, raw =
         request_raw ~port:d.port ~meth:"POST" ~path:"/solve"
-          ~body:(body_of "cap" 4.0) ()
+          ~body:(body_of "cap" 7.0) ()
       in
       Alcotest.(check int) "tenant over depth -> 429" 429 status;
       (match header_value raw "retry-after" with
@@ -1074,7 +1120,7 @@ let fault_tenant_depth_429 () =
       Alcotest.(check bool) "429 body names the tenant queue" true
         (contains raw "queue full");
       (* an unrelated tenant is admitted despite cap's rejection *)
-      let t4 = fire r4 (body_of "other" 11.0) in
+      let t4 = fire r4 (body_of "other" 5.0) in
       List.iter Thread.join [ t1; t2; t4 ];
       Alcotest.(check int) "wedged solve completes" 200 (fst !r1);
       Alcotest.(check int) "queued solve completes" 200 (fst !r2);
@@ -1224,6 +1270,7 @@ let suite =
   [
     ("e2e: concurrent solves, cache, metrics, SIGTERM", `Quick, e2e_concurrent_solves_and_shutdown);
     ("e2e: error paths, gmc3/ecc, CRLF bodies", `Quick, error_paths);
+    ("e2e: negative budget -> 400 on /solve, /gmc3, /ecc", `Quick, negative_budget_400);
     ("fault matrix: worker death + cache fault", `Quick, fault_worker_death_and_cache);
     ("fault matrix: deadline hit degrades gracefully", `Quick, fault_deadline_degrades);
     ("fault matrix: queue overload -> 429 + retry-after", `Quick, fault_backpressure_429);

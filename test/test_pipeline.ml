@@ -375,12 +375,13 @@ let incremental_matches_cold =
       all_ok := !all_ok && same_solution incr.Store.solution cold.Store.solution;
       !all_ok)
 
-(* The scheduler-facing corollary: requests coalesced into one batch by
-   Bcc_sched get the same bits as serial per-request solves.  Six
-   threads push the same (workload, epoch) key through one scheduler
-   over a shared store while a pristine mirror store is solved serially;
-   every fanned-out result must bit-match the serial answer.  Run at 1
-   and 3 jobs (seed parity picks). *)
+(* The serving-path corollary: requests coalesced onto one in-flight
+   solve get the same bits as serial per-request solves.  Six threads
+   push the same (workload, epoch) flight key through bccd's path — a
+   single-flight cache whose leaders pass one scheduler — over a shared
+   store, while a pristine mirror store is solved serially; every shared
+   result must bit-match the serial answer.  Run at 1 and 3 jobs (seed
+   parity picks). *)
 let coalesced_matches_serial =
   QCheck.Test.make ~name:"coalesced batch solves bit-match serial solves"
     ~count:(count 8) QCheck.small_int (fun seed ->
@@ -399,6 +400,7 @@ let coalesced_matches_serial =
         at_jobs 1 (fun () -> ok (Store.solve mirror ~name:"w" ~incremental:true ()))
       in
       let sched = Bcc_sched.Sched.create ~concurrency:1 () in
+      let flights = Bcc_server.Cache.create ~capacity:1 in
       let results = Array.make 6 None in
       at_jobs jobs (fun () ->
           let ths =
@@ -406,12 +408,13 @@ let coalesced_matches_serial =
                 Thread.create
                   (fun () ->
                     match
-                      Bcc_sched.Sched.submit sched
-                        ~tenant:(Printf.sprintf "t%d" (i mod 3))
-                        ~key:"w@e" ~subkey:"w@e/0"
-                        (fun () -> ok (Store.solve live ~name:"w" ~incremental:true ()))
+                      Bcc_server.Cache.find_or_compute flights ~keep:(fun _ -> false)
+                        "w@e" (fun () ->
+                          Bcc_sched.Sched.submit sched
+                            ~tenant:(Printf.sprintf "t%d" (i mod 3))
+                            (fun () -> ok (Store.solve live ~name:"w" ~incremental:true ())))
                     with
-                    | Ok r -> results.(i) <- Some r
+                    | Ok (r, _) -> results.(i) <- Some r
                     | Error _ -> ())
                   ())
           in

@@ -299,6 +299,51 @@ let degraded_solves_feasible_q =
       && Solution.verify inst o.Solver.solution
       && o.Solver.solution.Solution.cost <= budget +. 1e-9)
 
+(* --- io.load: the instance parser's fault point, through bccd --- *)
+
+(* Armed to throw once, io.load fails an inline /solve with an error
+   response, and the daemon then keeps serving the same request. *)
+let io_load_fault_fails_inline_solve () =
+  let module Server = Bcc_server.Server in
+  let module Http = Bcc_server.Http in
+  let module Client = Bcc_cluster.Client in
+  with_faults @@ fun () ->
+  let srv =
+    Server.create
+      { Server.default_config with port = 0; workers = 2; trace_spans = 0; timeout_s = 5.0 }
+  in
+  let th = Thread.create Server.run srv in
+  let client = Client.create ~retries:0 () in
+  Fun.protect
+    ~finally:(fun () ->
+      (* an idle pooled connection would hold a worker until its
+         keep-alive timeout *)
+      Client.close_idle client;
+      Server.request_stop srv;
+      Thread.join th)
+  @@ fun () ->
+  let node = { Bcc_cluster.Ring.host = "127.0.0.1"; port = Server.port srv } in
+  let solve () =
+    match
+      Client.request ~idempotent:false client node
+        {
+          Http.meth = "POST";
+          path = "/solve";
+          query = [];
+          headers = [];
+          body = "budget 10\nquery q1;q2 5\nclassifier q1 2\nclassifier q2 3\n";
+        }
+    with
+    | Ok resp -> resp
+    | Error e -> Alcotest.failf "transport error: %s" e.Http.message
+  in
+  Fault.arm ~count:1 "io.load" Fault.Throw;
+  let failed = solve () in
+  Alcotest.(check int) "armed io.load fails the inline solve" 500 failed.Http.status;
+  Alcotest.(check int) "the point fired" 1 (Fault.fired "io.load");
+  let recovered = solve () in
+  Alcotest.(check int) "the daemon keeps serving" 200 recovered.Http.status
+
 let suite =
   [
     ("deadline basics (fake clock)", `Quick, deadline_basics);
@@ -314,5 +359,7 @@ let suite =
     ("cancelled tasks counted as cancelled", `Quick, engine_cancelled_counter);
     ("solve_within none = solve", `Quick, solve_within_none_is_solve);
     ("expired deadline degrades gracefully", `Quick, expired_deadline_degrades);
+    ("io.load fault fails an inline bccd solve, then recovers", `Quick,
+      io_load_fault_fails_inline_solve);
     qtest degraded_solves_feasible_q;
   ]

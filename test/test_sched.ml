@@ -1,9 +1,10 @@
-(* The multi-tenant batch scheduler: retry-after clamping (the 429 fix),
+(* The multi-tenant solve scheduler: retry-after clamping (the 429 fix),
    the byte-bounded multi-owner curve cache, deterministic Core units
-   (coalescing, admission depth, deadline ordering, cancellation), a
-   fake-clock model-based test driving random traces against a fate and
-   fairness reference model, an exact weighted-DRR drain, the threaded
-   wrapper under contention, and the sched.enqueue fault point. *)
+   (admission depth, deadline ordering), a fake-clock model-based test
+   driving random traces against a fate and fairness reference model, an
+   exact weighted-DRR drain, the threaded wrapper under contention
+   behind the server's single-flight cache, and the sched.enqueue fault
+   point. *)
 
 module Sched = Bcc_sched.Sched
 module Core = Bcc_sched.Sched.Core
@@ -123,125 +124,62 @@ let cache_owned_listing () =
 
 let core cfg = Core.create cfg
 
-let enq ?(tenant = "a") ?(key = "k") ?(subkey = "k/0") ?(deadline = infinity)
-    ?(now = 0.0) c =
-  Core.enqueue c ~now ~tenant ~key ~subkey ~deadline ~est_batch_s:0.05
+let enq ?(tenant = "a") ?(deadline = infinity) c =
+  Core.enqueue c ~tenant ~deadline ~est_batch_s:0.05
 
 let wid_of = function
-  | Core.Queued w | Core.Coalesced w -> w
+  | Core.Queued w -> w
   | Core.Rejected _ -> Alcotest.fail "unexpected rejection"
-
-let core_coalesces_same_subkey () =
-  let c = core Core.default_config in
-  let w1 = enq c and w2 = enq c and w3 = enq c in
-  (match (w1, w2, w3) with
-  | Core.Queued _, Core.Coalesced _, Core.Coalesced _ -> ()
-  | _ -> Alcotest.fail "expected Queued then two Coalesced");
-  (* distinct budget, same instance: a sibling group of the same batch *)
-  let w4 = enq ~subkey:"k/1" c in
-  (match w4 with
-  | Core.Queued _ -> ()
-  | _ -> Alcotest.fail "new subkey opens a group, not a coalesce");
-  Alcotest.(check int) "one pending batch" 1 (Core.queued_batches c);
-  let expired, d = Core.next c ~now:0.0 in
-  Alcotest.(check (list int)) "nothing expired" [] expired;
-  let d = Option.get d in
-  Alcotest.(check int) "two groups" 2 (List.length d.Core.d_groups);
-  Alcotest.(check (list int)) "group 1 fans out to all three"
-    [ wid_of w1; wid_of w2; wid_of w3 ]
-    (List.assoc "k/0" d.Core.d_groups);
-  Alcotest.(check (list int)) "group 2 runs separately" [ wid_of w4 ]
-    (List.assoc "k/1" d.Core.d_groups);
-  (* the batch is no longer joinable once dispatched *)
-  (match enq c with
-  | Core.Queued _ -> ()
-  | _ -> Alcotest.fail "post-dispatch arrival must start a fresh batch");
-  let _, d2 = Core.next c ~now:0.0 in
-  Alcotest.(check bool) "concurrency 1: no second dispatch" true (d2 = None);
-  Core.complete c d.Core.d_bid;
-  let _, d3 = Core.next c ~now:0.0 in
-  Alcotest.(check bool) "slot freed: fresh batch dispatches" true (d3 <> None);
-  let ctr = Core.counters c in
-  Alcotest.(check int) "coalesced counter" 2 ctr.Core.coalesced_total;
-  Alcotest.(check int) "batches counter" 2 ctr.Core.batches_total
-
-let core_coalesce_off () =
-  let c = core { Core.default_config with coalesce = false } in
-  (match (enq c, enq c) with
-  | Core.Queued _, Core.Queued _ -> ()
-  | _ -> Alcotest.fail "coalesce off: identical requests stay separate");
-  Alcotest.(check int) "two batches" 2 (Core.queued_batches c)
 
 let core_depth_rejects () =
   let c = core { Core.default_config with tenant_depth = 2 } in
-  ignore (wid_of (enq ~key:"k1" ~subkey:"k1/0" c));
-  ignore (wid_of (enq ~key:"k2" ~subkey:"k2/0" c));
-  (match enq ~key:"k3" ~subkey:"k3/0" c with
+  ignore (wid_of (enq c));
+  ignore (wid_of (enq c));
+  (match enq c with
   | Core.Rejected { retry_after_s } ->
       Alcotest.(check bool) "retry-after at least 1s" true (retry_after_s >= 1)
   | _ -> Alcotest.fail "expected rejection at depth 2");
   (* another tenant is unaffected *)
-  (match enq ~tenant:"b" ~key:"k4" ~subkey:"k4/0" c with
+  (match enq ~tenant:"b" c with
   | Core.Queued _ -> ()
   | _ -> Alcotest.fail "depth is per tenant");
   Alcotest.(check int) "rejection counted" 1 (Core.counters c).Core.rejected_total
 
 let core_deadline_order_and_expiry () =
   let c = core Core.default_config in
-  ignore (wid_of (enq ~key:"slow" ~subkey:"slow/0" c));
-  ignore (wid_of (enq ~key:"urgent" ~subkey:"urgent/0" ~deadline:5.0 c));
+  let slow = wid_of (enq c) in
+  let urgent = wid_of (enq ~deadline:5.0 c) in
   let _, d = Core.next c ~now:0.0 in
-  Alcotest.(check string) "earliest deadline first" "urgent"
-    (Option.get d).Core.d_key;
-  Core.complete c (Option.get d).Core.d_bid;
-  (* a waiter found past its deadline is pruned, never dispatched *)
-  let w = wid_of (enq ~key:"late" ~subkey:"late/0" ~deadline:10.0 c) in
+  Alcotest.(check int) "earliest deadline first" urgent (Option.get d).Core.d_wid;
+  Core.complete c;
+  (* a job found past its deadline is pruned, never dispatched *)
+  let late = wid_of (enq ~deadline:10.0 c) in
   let expired, d = Core.next c ~now:20.0 in
-  Alcotest.(check (list int)) "expired waiter reported" [ w ] expired;
-  Alcotest.(check string) "the no-deadline batch dispatches instead" "slow"
-    (Option.get d).Core.d_key;
-  Alcotest.(check int) "expiry counted" 1 (Core.counters c).Core.expired_total
+  Alcotest.(check (list int)) "expired job reported" [ late ] expired;
+  Alcotest.(check int) "the no-deadline job dispatches instead" slow
+    (Option.get d).Core.d_wid;
+  Alcotest.(check int) "expiry counted" 1 (Core.counters c).Core.expired_total;
+  let _, d = Core.next c ~now:20.0 in
+  Alcotest.(check bool) "concurrency 1: no second dispatch" true (d = None)
 
-let core_cancel () =
-  let c = core Core.default_config in
-  let w1 = wid_of (enq c) in
-  let w2 = wid_of (enq c) in
-  Alcotest.(check bool) "cancel queued" true (Core.cancel c w1);
-  Alcotest.(check bool) "cancel twice" false (Core.cancel c w1);
-  let _, d = Core.next c ~now:0.0 in
-  Alcotest.(check (list int)) "only the survivor dispatches" [ w2 ]
-    (List.assoc "k/0" (Option.get d).Core.d_groups);
-  Alcotest.(check bool) "cancel after dispatch" false (Core.cancel c w2);
-  (* cancelling a batch's last waiter removes the batch *)
-  let w3 = wid_of (enq ~key:"solo" ~subkey:"solo/0" c) in
-  Alcotest.(check bool) "cancel solo" true (Core.cancel c w3);
-  Core.complete c (Option.get d).Core.d_bid;
-  let _, d2 = Core.next c ~now:0.0 in
-  Alcotest.(check bool) "nothing left to dispatch" true (d2 = None)
-
-(* Exact DRR arithmetic: weights 1 vs 3 with quantum 1 drain in the
-   repeating pattern a,b,b,b — 6 vs 18 over 24 dispatches. *)
+(* Exact DRR arithmetic: weights 1 vs 3 drain in the repeating pattern
+   a,b,b,b — 6 vs 18 over 24 dispatches. *)
 let core_weighted_drain_exact () =
   let c =
     core { Core.default_config with weights = [ ("b", 3) ]; tenant_depth = 64 }
   in
-  for i = 0 to 39 do
-    ignore
-      (wid_of (enq ~tenant:"a" ~key:(Printf.sprintf "a%d" i)
-                 ~subkey:(Printf.sprintf "a%d/0" i) c));
-    ignore
-      (wid_of (enq ~tenant:"b" ~key:(Printf.sprintf "b%d" i)
-                 ~subkey:(Printf.sprintf "b%d/0" i) c))
+  for _ = 0 to 39 do
+    ignore (wid_of (enq ~tenant:"a" c));
+    ignore (wid_of (enq ~tenant:"b" c))
   done;
   let a = ref 0 and b = ref 0 in
   for _ = 1 to 24 do
     let _, d = Core.next c ~now:0.0 in
-    let d = Option.get d in
-    (match d.Core.d_tenant with
+    (match (Option.get d).Core.d_tenant with
     | "a" -> incr a
     | "b" -> incr b
     | t -> Alcotest.failf "unexpected tenant %s" t);
-    Core.complete c d.Core.d_bid
+    Core.complete c
   done;
   Alcotest.(check int) "a gets its 1/4 share" 6 !a;
   Alcotest.(check int) "b gets its 3/4 share" 18 !b;
@@ -253,38 +191,33 @@ let core_weighted_drain_exact () =
 
 (* --- model-based random traces against a fate reference model --- *)
 
-type fate = F_queued | F_delivered | F_expired | F_cancelled
+type fate = F_queued | F_delivered | F_expired
 
 let model_random_traces =
   QCheck.Test.make
     ~name:"core: random traces keep fates exact and deficits bounded"
     ~count:(count 80) QCheck.small_int (fun seed ->
       let rng = Rng.create (0xD12 + seed) in
-      let quantum = 1 + Rng.int rng 2 in
       let concurrency = 1 + Rng.int rng 2 in
-      let weights = [ ("a", 1); ("b", 2); ("c", 3) ] in
       let cfg =
         {
-          Core.quantum;
-          default_weight = 1;
-          weights;
+          Core.weights = [ ("a", 1); ("b", 2); ("c", 3) ];
           tenant_depth = 3 + Rng.int rng 5;
           concurrency;
-          coalesce = Rng.int rng 4 > 0;
         }
       in
       let c = Core.create cfg in
       let now = ref 0.0 in
       let fate : (int, fate) Hashtbl.t = Hashtbl.create 64 in
       let queued = ref [] in
-      let running = ref [] in
+      let running = ref 0 in
       let ok = ref true in
       let check b = if not b then ok := false in
       let bound () =
         List.iter
           (fun ti ->
             check (ti.Core.ti_deficit >= 0);
-            check (ti.Core.ti_deficit <= quantum * ti.Core.ti_weight))
+            check (ti.Core.ti_deficit <= ti.Core.ti_weight))
           (Core.tenants c)
       in
       let settle wid f =
@@ -293,57 +226,42 @@ let model_random_traces =
         queued := List.filter (fun w -> w <> wid) !queued
       in
       let deliver (d : Core.dispatch) =
-        running := d.Core.d_bid :: !running;
-        List.iter
-          (fun (_, wids) -> List.iter (fun w -> settle w F_delivered) wids)
-          d.Core.d_groups
+        incr running;
+        settle d.Core.d_wid F_delivered
       in
       let tenants_arr = [| "a"; "b"; "c" |] in
-      for step = 1 to 60 do
+      for _ = 1 to 60 do
         now := !now +. float_of_int (Rng.int rng 3);
-        (match Rng.int rng 10 with
+        (match Rng.int rng 9 with
         | 0 | 1 | 2 | 3 | 4 -> (
             let tenant = tenants_arr.(Rng.int rng 3) in
-            let key = Printf.sprintf "k%d" (Rng.int rng 4) in
-            let subkey = Printf.sprintf "%s/%d" key (Rng.int rng 2) in
             let deadline =
               if Rng.int rng 4 = 0 then !now +. float_of_int (1 + Rng.int rng 6)
               else infinity
             in
-            match
-              Core.enqueue c ~now:!now ~tenant ~key ~subkey ~deadline
-                ~est_batch_s:0.05
-            with
-            | Core.Queued wid | Core.Coalesced wid ->
+            match Core.enqueue c ~tenant ~deadline ~est_batch_s:0.05 with
+            | Core.Queued wid ->
                 check (not (Hashtbl.mem fate wid));
                 Hashtbl.replace fate wid F_queued;
                 queued := wid :: !queued
             | Core.Rejected { retry_after_s } -> check (retry_after_s >= 1))
-        | 5 -> (
-            match !queued with
-            | [] -> ()
-            | l ->
-                let wid = List.nth l (Rng.int rng (List.length l)) in
-                check (Core.cancel c wid);
-                settle wid F_cancelled)
-        | 6 | 7 | 8 ->
+        | 5 | 6 | 7 ->
             let expired, d = Core.next c ~now:!now in
             List.iter (fun w -> settle w F_expired) expired;
             Option.iter deliver d
-        | _ -> (
-            match !running with
-            | [] -> ()
-            | bid :: rest ->
-                Core.complete c bid;
-                running := rest));
+        | _ ->
+            if !running > 0 then begin
+              Core.complete c;
+              decr running
+            end);
         bound ();
-        check (Core.running c <= concurrency);
-        ignore step
+        check (Core.running c <= concurrency)
       done;
-      (* drain: no waiter may be lost — every enqueue ends in exactly one
-         of delivered / expired / cancelled *)
-      List.iter (Core.complete c) !running;
-      running := [];
+      (* drain: no job may be lost — every enqueue ends in exactly one
+         of delivered / expired *)
+      for _ = 1 to !running do
+        Core.complete c
+      done;
       let guard = ref 1000 in
       let continue = ref true in
       while !continue && !guard > 0 do
@@ -353,71 +271,75 @@ let model_random_traces =
         match d with
         | Some d ->
             deliver d;
-            Core.complete c d.Core.d_bid;
-            running := []
-        | None -> if Core.queued_batches c = 0 then continue := false
+            Core.complete c
+        | None -> if Core.queued c = 0 then continue := false
       done;
       check (!guard > 0);
       check (!queued = []);
       Hashtbl.iter (fun _ f -> check (f <> F_queued)) fate;
       let n f = Hashtbl.fold (fun _ x a -> if x = f then a + 1 else a) fate 0 in
-      let ctr = Core.counters c in
-      check (ctr.Core.expired_total = n F_expired);
-      check (Core.queued_batches c = 0);
+      check ((Core.counters c).Core.expired_total = n F_expired);
+      check ((Core.counters c).Core.batches_total = n F_delivered);
+      check (Core.queued c = 0);
       !ok)
 
 (* --- threaded wrapper --- *)
 
+(* The server's composition: 16 callers on 4 tenants and 2 keys go
+   through a single-flight cache whose leaders pass the scheduler.
+   Every caller gets its key's result, each key is computed once, and
+   only leaders are ever admitted. *)
 let wrapper_contended_fanout () =
   let sched = Sched.create ~concurrency:2 ~tenant_depth:64 () in
+  let cache = Bcc_server.Cache.create ~capacity:4 in
   let n = 16 in
+  let computes = Atomic.make 0 in
   let results = Array.make n "" in
   let ths =
     List.init n (fun i ->
         Thread.create
           (fun () ->
             let tenant = Printf.sprintf "t%d" (i mod 4) in
-            let subkey = Printf.sprintf "K/g%d" (i mod 2) in
+            let key = Printf.sprintf "K/g%d" (i mod 2) in
             match
-              Sched.submit sched ~tenant ~key:"K" ~subkey (fun () ->
-                  Thread.yield ();
-                  "r:" ^ subkey)
+              Bcc_server.Cache.find_or_compute cache key (fun () ->
+                  Sched.submit sched ~tenant (fun () ->
+                      Atomic.incr computes;
+                      Thread.delay 0.01;
+                      "r:" ^ key))
             with
-            | Ok r -> results.(i) <- r
+            | Ok (r, _) -> results.(i) <- r
             | Error _ -> results.(i) <- "ERR")
           ())
   in
   List.iter Thread.join ths;
   Array.iteri
     (fun i r ->
-      Alcotest.(check string) "every waiter got its group's result"
+      Alcotest.(check string) "every caller got its key's result"
         (Printf.sprintf "r:K/g%d" (i mod 2)) r)
     results;
+  Alcotest.(check int) "one compute per key" 2 (Atomic.get computes);
   let s = Sched.stats sched in
-  Alcotest.(check int) "drained" 0 s.Sched.queued_waiters;
+  Alcotest.(check int) "only leaders were admitted" 2 s.Sched.batches_total;
+  Alcotest.(check int) "drained" 0 s.Sched.queued;
   Alcotest.(check int) "idle" 0 s.Sched.running;
-  Alcotest.(check bool) "dispatched something" true (s.Sched.batches_total >= 1);
   Alcotest.(check int) "no rejections" 0 s.Sched.rejected_total;
   Alcotest.(check int) "no expiries" 0 s.Sched.expired_total
 
 let wrapper_group_failure_contained () =
   let sched = Sched.create ~concurrency:1 () in
-  (match
-     Sched.submit sched ~tenant:"a" ~key:"K" ~subkey:"K/0" (fun () ->
-         failwith "boom")
-   with
+  (match Sched.submit sched ~tenant:"a" (fun () -> failwith "boom") with
   | Error (Sched.Faulted (Failure msg)) ->
-      Alcotest.(check string) "the group's own exception" "boom" msg
-  | _ -> Alcotest.fail "expected the group's own exception back");
-  match Sched.submit sched ~tenant:"a" ~key:"K" ~subkey:"K/0" (fun () -> "fine") with
+      Alcotest.(check string) "the job's own exception" "boom" msg
+  | _ -> Alcotest.fail "expected the job's own exception back");
+  match Sched.submit sched ~tenant:"a" (fun () -> "fine") with
   | Ok r -> Alcotest.(check string) "queue not wedged" "fine" r
   | _ -> Alcotest.fail "expected the next submit to succeed"
 
 let wrapper_expired_upfront () =
   let sched = Sched.create () in
   match
-    Sched.submit sched ~tenant:"a" ~deadline_s:(Timer.now_s () -. 1.0) ~key:"K"
-      ~subkey:"K/0" (fun () -> "never")
+    Sched.submit sched ~tenant:"a" ~deadline_s:(Timer.now_s () -. 1.0) (fun () -> "never")
   with
   | Error Sched.Expired -> ()
   | _ -> Alcotest.fail "a dead-on-arrival deadline must not run"
@@ -428,16 +350,16 @@ let sched_enqueue_fault_point () =
   let sched = Sched.create () in
   Fault.arm Sched.fault_point Fault.Throw;
   Fun.protect ~finally:Fault.reset (fun () ->
-      match Sched.submit sched ~tenant:"a" ~key:"K" ~subkey:"K/0" (fun () -> "x") with
+      match Sched.submit sched ~tenant:"a" (fun () -> "x") with
       | Error (Sched.Faulted (Fault.Injected p)) ->
           Alcotest.(check string) "the sched.enqueue point" Sched.fault_point p
       | _ -> Alcotest.fail "expected an injected fault");
-  (match Sched.submit sched ~tenant:"a" ~key:"K" ~subkey:"K/0" (fun () -> "ok") with
+  (match Sched.submit sched ~tenant:"a" (fun () -> "ok") with
   | Ok r -> Alcotest.(check string) "recovers after disarm" "ok" r
   | _ -> Alcotest.fail "expected recovery");
   let s = Sched.stats sched in
   Alcotest.(check int) "the faulted submit never reached the queue" 0
-    s.Sched.queued_waiters
+    s.Sched.queued
 
 let suite =
   [
@@ -454,22 +376,18 @@ let suite =
       cache_evict_owner_by_footprint;
     Alcotest.test_case "curve cache lists owned artifacts sorted" `Quick
       cache_owned_listing;
-    Alcotest.test_case "core coalesces same-subkey requests" `Quick
-      core_coalesces_same_subkey;
-    Alcotest.test_case "core honors coalesce = false" `Quick core_coalesce_off;
     Alcotest.test_case "core rejects past tenant depth" `Quick core_depth_rejects;
     Alcotest.test_case "core orders by deadline and prunes expired" `Quick
       core_deadline_order_and_expiry;
-    Alcotest.test_case "core cancellation" `Quick core_cancel;
     Alcotest.test_case "weighted DRR drain is exact" `Quick
       core_weighted_drain_exact;
     qtest model_random_traces;
-    Alcotest.test_case "wrapper: 16 threads, 4 tenants, shared results" `Quick
-      wrapper_contended_fanout;
     Alcotest.test_case "wrapper: group failure is contained" `Quick
       wrapper_group_failure_contained;
     Alcotest.test_case "wrapper: dead-on-arrival deadline" `Quick
       wrapper_expired_upfront;
     Alcotest.test_case "sched.enqueue fault fails only that submit" `Quick
       sched_enqueue_fault_point;
+    Alcotest.test_case "wrapper: 16 threads, 4 tenants, shared results" `Quick
+      wrapper_contended_fanout;
   ]

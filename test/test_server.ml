@@ -1,5 +1,5 @@
 (* Unit tests for the bcc_server building blocks: the JSON codec, the
-   LRU cache, the metrics registry and HTTP request parsing.  The
+   single-flight LRU cache, the metrics registry and HTTP request parsing.  The
    end-to-end daemon test lives in test_bccd.ml. *)
 
 module Json = Bcc_server.Json
@@ -147,13 +147,20 @@ let cache_counters () =
   ignore (Cache.find c "k");
   Alcotest.(check int) "hits" 2 (Cache.hits c);
   Alcotest.(check int) "misses" 1 (Cache.misses c);
-  let v, hit = Cache.find_or_add c "k" (fun () -> Alcotest.fail "must not recompute") in
-  Alcotest.(check bool) "find_or_add hit" true hit;
+  let found key compute =
+    match Cache.find_or_compute c key compute with
+    | Ok r -> r
+    | Error () -> Alcotest.fail "unexpected refusal"
+  in
+  let v, hit = found "k" (fun () -> Alcotest.fail "must not recompute") in
+  Alcotest.(check bool) "find_or_compute hit" true hit;
   Alcotest.(check int) "value" 7 v;
-  let v, hit = Cache.find_or_add c "fresh" (fun () -> 9) in
-  Alcotest.(check bool) "find_or_add miss" false hit;
+  let v, hit = found "fresh" (fun () -> Ok 9) in
+  Alcotest.(check bool) "find_or_compute miss" false hit;
   Alcotest.(check int) "computed" 9 v;
-  Alcotest.(check int) "length" 2 (Cache.length c)
+  Alcotest.(check int) "length" 2 (Cache.length c);
+  Alcotest.(check int) "hits" 3 (Cache.hits c);
+  Alcotest.(check int) "misses" 2 (Cache.misses c)
 
 let cache_update_refreshes () =
   let c = Cache.create ~capacity:2 in
@@ -182,6 +189,123 @@ let cache_concurrent () =
   Alcotest.(check bool) "length within capacity" true (Cache.length c <= 16);
   Alcotest.(check int) "mru list matches table" (Cache.length c)
     (List.length (Cache.keys_mru c))
+
+(* --- single flight --- *)
+
+(* Spin until [n] callers have joined [c]'s in-flight computations, so a
+   leader can hold its promise until every joiner is provably waiting. *)
+let await_joins c n =
+  while Cache.joins c < n do
+    Thread.yield ()
+  done
+
+let single_flight_once_per_key () =
+  let keys = 32 in
+  let c = Cache.create ~capacity:keys in
+  let runs = Array.init keys (fun _ -> Atomic.make 0) in
+  let bad = Atomic.make 0 in
+  let worker seed () =
+    let st = Random.State.make [| seed |] in
+    for _ = 1 to 200 do
+      let k = Random.State.int st keys in
+      match
+        Cache.find_or_compute c (string_of_int k) (fun () ->
+            Atomic.incr runs.(k);
+            Thread.yield ();
+            Ok (k * k))
+      with
+      | Ok (v, _) -> if v <> k * k then Atomic.incr bad
+      | Error () -> Atomic.incr bad
+    done
+  in
+  let threads = List.init 16 (fun i -> Thread.create (worker i) ()) in
+  List.iter Thread.join threads;
+  Alcotest.(check int) "every caller got its key's value" 0 (Atomic.get bad);
+  Array.iteri
+    (fun k n ->
+      if Atomic.get n > 1 then
+        Alcotest.failf "key %d computed %d times" k (Atomic.get n))
+    runs;
+  Alcotest.(check int) "one miss per computed key"
+    (Array.fold_left (fun a n -> a + Atomic.get n) 0 runs)
+    (Cache.misses c)
+
+let single_flight_unkept_recomputes () =
+  let c = Cache.create ~capacity:4 in
+  let runs = ref 0 in
+  let get () =
+    Cache.find_or_compute c ~keep:(fun v -> v > 0) "k" (fun () ->
+        incr runs;
+        Ok 0)
+  in
+  Alcotest.(check bool) "first: computed" true (get () = Ok (0, false));
+  Alcotest.(check bool) "second: computed again" true (get () = Ok (0, false));
+  Alcotest.(check int) "two computes" 2 !runs;
+  Alcotest.(check int) "nothing stored" 0 (Cache.length c)
+
+let single_flight_exception_reaches_joiners () =
+  let c = Cache.create ~capacity:4 in
+  let joiners = 3 in
+  let leader =
+    Thread.create
+      (fun () ->
+        try
+          ignore
+            (Cache.find_or_compute c "k" (fun () ->
+                 await_joins c joiners;
+                 failwith "boom"))
+        with Failure _ -> ())
+      ()
+  in
+  while Cache.misses c = 0 do
+    Thread.yield ()
+  done;
+  let got = Array.make joiners "" in
+  let ths =
+    List.init joiners (fun i ->
+        Thread.create
+          (fun () ->
+            got.(i) <-
+              (match
+                 Cache.find_or_compute c "k" (fun () -> Ok "joiner computed")
+               with
+              | Ok (v, _) -> v
+              | Error () -> "refused"
+              | exception Failure msg -> "raised " ^ msg))
+          ())
+  in
+  List.iter Thread.join (leader :: ths);
+  Array.iter (Alcotest.(check string) "joiner got the leader's exception" "raised boom") got;
+  Alcotest.(check int) "nothing stored" 0 (Cache.length c);
+  Alcotest.(check bool) "next caller computes afresh" true
+    (Cache.find_or_compute c "k" (fun () -> Ok "fresh") = Ok ("fresh", false))
+
+let single_flight_refusal_not_shared () =
+  let c = Cache.create ~capacity:4 in
+  let leader_out = ref (Ok (0, false)) in
+  let leader =
+    Thread.create
+      (fun () ->
+        leader_out :=
+          Cache.find_or_compute c "k" (fun () ->
+              await_joins c 1;
+              Error "refused"))
+      ()
+  in
+  while Cache.misses c = 0 do
+    Thread.yield ()
+  done;
+  let joiner_out = ref (Ok (0, false)) in
+  let joiner =
+    Thread.create
+      (fun () -> joiner_out := Cache.find_or_compute c "k" (fun () -> Ok 42))
+      ()
+  in
+  List.iter Thread.join [ leader; joiner ];
+  Alcotest.(check bool) "the leader keeps its refusal" true (!leader_out = Error "refused");
+  Alcotest.(check bool) "the joiner retried and computed" true (!joiner_out = Ok (42, false));
+  Alcotest.(check bool) "the joiner's value is stored" true
+    (Cache.find_or_compute c "k" (fun () -> Ok 0) = Ok (42, true))
 
 (* --- metrics --- *)
 
@@ -398,6 +522,11 @@ let suite =
     ("cache hit/miss counters", `Quick, cache_counters);
     ("cache update refreshes recency", `Quick, cache_update_refreshes);
     ("cache concurrent hammering", `Quick, cache_concurrent);
+    ("single flight: 16 threads compute each key once", `Quick, single_flight_once_per_key);
+    ("single flight: an unkept value is recomputed", `Quick, single_flight_unkept_recomputes);
+    ("single flight: a leader's exception reaches its joiners", `Quick,
+      single_flight_exception_reaches_joiners);
+    ("single flight: a leader's refusal is not shared", `Quick, single_flight_refusal_not_shared);
     ("metrics counters and gauges", `Quick, metrics_counters_and_gauges);
     ("metrics histogram buckets", `Quick, metrics_histogram);
     ("metrics label escaping", `Quick, metrics_label_escaping);
