@@ -110,14 +110,13 @@ let ig2 inst stop =
             List.iter
               (fun qi ->
                 let u = Instance.utility inst qi in
-                List.iter
-                  (fun c ->
-                    match Instance.classifier_id inst c with
-                    | Some cid ->
-                        sums.(cid) <- sums.(cid) -. u;
-                        if Heap.mem heap cid then Heap.update heap cid (ratio cid)
-                    | None -> ())
-                  (Propset.subsets (Instance.query inst qi)))
+                for mask = 1 to Cover.full_mask state qi do
+                  let cid = Instance.subset_id inst qi mask in
+                  if cid >= 0 then begin
+                    sums.(cid) <- sums.(cid) -. u;
+                    if Heap.mem heap cid then Heap.update heap cid (ratio cid)
+                  end
+                done)
               newly;
             [ id ] (* already selected; run loop's select is idempotent *)
           end

@@ -40,20 +40,20 @@ let select_traced t id =
     t.selected.(id) <- true;
     t.n_selected <- t.n_selected + 1;
     t.spent <- t.spent +. Instance.cost t.inst id;
-    let c = Instance.classifier t.inst id in
+    let qs = Instance.queries_containing t.inst id in
+    let masks = Instance.containing_masks t.inst id in
     let newly = ref [] in
-    Array.iter
-      (fun qi ->
-        if t.mask.(qi) <> t.full.(qi) then begin
-          let bits = Propset.positions_in c (Instance.query t.inst qi) in
-          t.mask.(qi) <- t.mask.(qi) lor bits;
-          if t.mask.(qi) = t.full.(qi) then begin
-            t.covered_utility <- t.covered_utility +. Instance.utility t.inst qi;
-            t.covered_count <- t.covered_count + 1;
-            newly := qi :: !newly
-          end
-        end)
-      (Instance.queries_containing t.inst id);
+    for j = 0 to Array.length qs - 1 do
+      let qi = qs.(j) in
+      if t.mask.(qi) <> t.full.(qi) then begin
+        t.mask.(qi) <- t.mask.(qi) lor masks.(j);
+        if t.mask.(qi) = t.full.(qi) then begin
+          t.covered_utility <- t.covered_utility +. Instance.utility t.inst qi;
+          t.covered_count <- t.covered_count + 1;
+          newly := qi :: !newly
+        end
+      end
+    done;
     List.rev !newly
   end
 

@@ -12,12 +12,14 @@ type candidate = { id : int;  (** classifier id *) bits : int  (** residual posi
 val candidates : Cover.t -> ?allowed:(int -> bool) -> int -> candidate list * int
 (** [candidates state qi] returns the unselected finite-cost classifiers
     contained in query [qi] that cover at least one residual property,
-    together with the residual target bitmask.  Selected classifiers
-    never appear (their properties are already out of the residual). *)
+    together with the residual target bitmask, in descending position
+    mask.  Selected classifiers never appear (their properties are
+    already out of the residual).  Reads {!Instance.subset_id}. *)
 
 val cheapest_cover : Cover.t -> ?allowed:(int -> bool) -> int -> (float * int list) option
 (** Minimum-cost set of new classifiers completing query [qi]'s cover,
-    by exact DP over residual bitmasks.  [None] if the query is
+    by exact DP over residual bitmasks; among equal-cost covers the
+    first found in {!candidates}' order wins.  [None] if the query is
     uncoverable (or already covered — there is nothing to buy). *)
 
 val one_covers : candidate list -> target:int -> candidate list

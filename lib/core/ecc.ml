@@ -7,18 +7,21 @@ let ratio_of (sol : Solution.t) =
   else if sol.Solution.utility > 1e-12 then infinity
   else 0.0
 
-(* Minimal covers of query [q] by classifiers of length <= [vertex_len],
+(* Minimal covers of query [qi] by classifiers of length <= [vertex_len],
    of cardinality <= [max_size], plus the all-singleton cover. *)
-let minimal_covers inst q ~vertex_len ~max_size =
-  let candidates =
-    List.filter
-      (fun c ->
-        Propset.length c <= vertex_len && Instance.classifier_id inst c <> None)
-      (Propset.subsets q)
-  in
-  let cands = Array.of_list candidates in
-  let bits = Array.map (fun c -> Propset.positions_in c q) cands in
+let minimal_covers inst qi ~vertex_len ~max_size =
+  let q = Instance.query inst qi in
   let full = (1 lsl Propset.length q) - 1 in
+  let ids = ref [] and masks = ref [] in
+  for mask = full downto 1 do
+    let id = Instance.subset_id inst qi mask in
+    if id >= 0 && Propset.length (Instance.classifier inst id) <= vertex_len then begin
+      ids := id :: !ids;
+      masks := mask :: !masks
+    end
+  done;
+  let cands = Array.of_list (List.map (Instance.classifier inst) !ids) in
+  let bits = Array.of_list !masks in
   let n = Array.length cands in
   let out = ref [] in
   for i = 0 to n - 1 do
@@ -46,11 +49,9 @@ let minimal_covers inst q ~vertex_len ~max_size =
       done
     done;
   (* The all-singleton cover (always minimal when it exists). *)
-  if Propset.length q > max_size then begin
-    let singles = List.map Propset.singleton (Propset.to_list q) in
-    if List.for_all (fun c -> Instance.classifier_id inst c <> None) singles then
-      out := singles :: !out
-  end;
+  let k = Propset.length q in
+  if k > max_size && List.for_all (fun i -> Instance.subset_id inst qi (1 lsl i) >= 0) (List.init k Fun.id)
+  then out := List.map Propset.singleton (Propset.to_list q) :: !out;
   !out
 
 let solve inst =
@@ -83,10 +84,10 @@ let solve inst =
         (* Singleton covers attach to v* (added below) to avoid
            single-node hyperedges degenerating. *)
         edges := (nodes, u) :: !edges)
-      (minimal_covers inst q ~vertex_len ~max_size);
+      (minimal_covers inst qi ~vertex_len ~max_size);
     (* The exact-match classifier candidate (length-l arm of the
        proof). *)
-    if Instance.classifier_id inst q <> None then begin
+    if Instance.subset_id inst qi ((1 lsl Propset.length q) - 1) >= 0 then begin
       let sol = Solution.of_sets inst [ q ] in
       if ratio_of sol > ratio_of !best_single then best_single := sol
     end

@@ -8,9 +8,14 @@ type t = {
   costs : float array;
   ids : int Propset.Tbl.t; (* classifier set -> id; -1 marks infinite cost *)
   containing : int array array; (* classifier id -> query ids containing it *)
+  containing_masks : int array array; (* parallel: its position mask in each *)
+  sub_off : int array; (* query id -> start of its row in [subsets] *)
+  subsets : int array; (* per query, per position mask 1..2^k-1: id or -1 *)
   num_properties : int;
   max_length : int;
 }
+
+let max_query_length = 16
 
 let create ?(name = "bcc") ?names ~budget ~queries ~cost () =
   if budget < 0.0 then invalid_arg "Instance.create: negative budget";
@@ -30,17 +35,25 @@ let create ?(name = "bcc") ?names ~budget ~queries ~cost () =
   let utilities = Array.of_list (List.map snd qlist) in
   (* CL = union of the queries' power sets; infinite-cost classifiers are
      excluded from the universe but remembered (id -1) so the oracle is
-     consulted only once per set. *)
-  let ids = Propset.Tbl.create (4 * max (Array.length queries) 16) in
-  let rev_entries = ref [] in
-  let next_id = ref 0 in
-  let containing_tbl : (int, int list ref) Hashtbl.t =
-    Hashtbl.create (4 * max (Array.length queries) 16)
-  in
+     consulted only once per set.  The same pass fills the subset table:
+     query [qi]'s subset at position mask [m] has id
+     [subsets.(sub_off.(qi) + m - 1)]. *)
+  let nq = Array.length queries in
+  let sub_off = Array.make (nq + 1) 0 in
   Array.iteri
     (fun qi q ->
-      List.iter
-        (fun c ->
+      let k = Propset.length q in
+      if k > max_query_length then invalid_arg "Instance.create: query too long";
+      sub_off.(qi + 1) <- sub_off.(qi) + (1 lsl k) - 1)
+    queries;
+  let subsets = Array.make sub_off.(nq) (-1) in
+  let ids = Propset.Tbl.create (4 * max nq 16) in
+  let rev_entries = ref [] in
+  let next_id = ref 0 in
+  Array.iteri
+    (fun qi q ->
+      List.iteri
+        (fun i c ->
           let id =
             match Propset.Tbl.find_opt ids c with
             | Some id -> id
@@ -56,14 +69,10 @@ let create ?(name = "bcc") ?names ~budget ~queries ~cost () =
                   incr next_id;
                   Propset.Tbl.add ids c id;
                   rev_entries := (c, cl_cost) :: !rev_entries;
-                  Hashtbl.add containing_tbl id (ref []);
                   id
                 end
           in
-          if id >= 0 then begin
-            let cell = Hashtbl.find containing_tbl id in
-            cell := qi :: !cell
-          end)
+          subsets.(sub_off.(qi) + i) <- id)
         (Propset.subsets q))
     queries;
   let n_cl = !next_id in
@@ -74,12 +83,24 @@ let create ?(name = "bcc") ?names ~budget ~queries ~cost () =
       classifiers.(n_cl - 1 - i) <- c;
       costs.(n_cl - 1 - i) <- cl_cost)
     !rev_entries;
-  let containing =
-    Array.init n_cl (fun id ->
-        match Hashtbl.find_opt containing_tbl id with
-        | Some cell -> Array.of_list (List.rev !cell)
-        | None -> [||])
-  in
+  (* Containment index by counting: size every row, then fill it in
+     ascending query order. *)
+  let count = Array.make n_cl 0 in
+  Array.iter (fun id -> if id >= 0 then count.(id) <- count.(id) + 1) subsets;
+  let containing = Array.init n_cl (fun id -> Array.make count.(id) 0) in
+  let containing_masks = Array.init n_cl (fun id -> Array.make count.(id) 0) in
+  Array.fill count 0 n_cl 0;
+  for qi = 0 to nq - 1 do
+    let off = sub_off.(qi) in
+    for m = 1 to sub_off.(qi + 1) - off do
+      let id = subsets.(off + m - 1) in
+      if id >= 0 then begin
+        containing.(id).(count.(id)) <- qi;
+        containing_masks.(id).(count.(id)) <- m;
+        count.(id) <- count.(id) + 1
+      end
+    done
+  done;
   let props = Hashtbl.create 256 in
   Array.iter (fun q -> Propset.iter (fun p -> Hashtbl.replace props p ()) q) queries;
   let max_length = Array.fold_left (fun acc q -> max acc (Propset.length q)) 0 queries in
@@ -93,6 +114,9 @@ let create ?(name = "bcc") ?names ~budget ~queries ~cost () =
     costs = (if n_cl = 0 then [||] else Array.sub costs 0 n_cl);
     ids;
     containing;
+    containing_masks;
+    sub_off;
+    subsets;
     num_properties = Hashtbl.length props;
     max_length;
   }
@@ -116,6 +140,8 @@ let classifier_id t c =
 
 let cost_of t c = match classifier_id t c with Some id -> t.costs.(id) | None -> infinity
 let queries_containing t id = t.containing.(id)
+let containing_masks t id = t.containing_masks.(id)
+let subset_id t qi mask = t.subsets.(t.sub_off.(qi) + mask - 1)
 
 let restrict t qids =
   let qids = List.sort_uniq compare qids in

@@ -7,11 +7,19 @@
     construct" and are omitted from the universe (as in Example 2.1's
     [C(XY) = ∞]).
 
-    The instance also materializes the containment index — for every
-    classifier, which queries contain it — which every solver and
-    baseline in this library relies on. *)
+    The instance also materializes two indexes every solver and baseline
+    in this library relies on: the containment index (for every
+    classifier, which queries contain it, and where) and the subset
+    table (for every query, which classifier each of its subsets is).
+    Both come out of the one pass that enumerates the queries' power
+    sets to build [CL]. *)
 
 type t
+
+val max_query_length : int
+(** 16: the most properties a query may have.  Its subsets are indexed
+    by int position masks, and a query of length [k] stores [2^k - 1]
+    of them. *)
 
 val create :
   ?name:string ->
@@ -23,7 +31,7 @@ val create :
   t
 (** Duplicate queries are merged (utilities summed); empty queries are
     dropped.  @raise Invalid_argument on a negative utility, negative
-    cost or negative budget. *)
+    cost, negative budget or a query longer than {!max_query_length}. *)
 
 val name : t -> string
 val names : t -> Symtab.t option
@@ -54,7 +62,18 @@ val cost_of : t -> Propset.t -> float
 
 val queries_containing : t -> int -> int array
 (** Query ids whose property set contains the classifier — the
-    classifiers relevant to covering those queries. *)
+    classifiers relevant to covering those queries.  Ascending. *)
+
+val containing_masks : t -> int -> int array
+(** Parallel to {!queries_containing}: the classifier's position mask
+    in each of those queries (bit [i] = the query's [i]-th smallest
+    property), as {!Propset.positions_in} would compute it. *)
+
+val subset_id : t -> int -> int -> int
+(** [subset_id t qi mask] = the id of the classifier made of query
+    [qi]'s properties at the positions set in [mask]
+    ([1 <= mask < 2^length]), or [-1] when that subset costs
+    [infinity].  Constant time: no hashing, no allocation. *)
 
 (** {1 Derived instances} *)
 

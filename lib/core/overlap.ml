@@ -104,20 +104,16 @@ let greedy beta inst =
         let mc = quick_marginal id in
         if mc <= budget -. !spent +. 1e-9 then begin
           (* Strict marginal gain via cover masks (no cloning). *)
-          let c = Instance.classifier inst id in
-          let gain =
-            Array.fold_left
-              (fun acc qi ->
-                let full = Cover.full_mask state qi in
-                let m = Cover.mask state qi in
-                if m <> full then begin
-                  let m' = m lor Propset.positions_in c (Instance.query inst qi) in
-                  if m' = full then acc +. Instance.utility inst qi else acc
-                end
-                else acc)
-              0.0
-              (Instance.queries_containing inst id)
-          in
+          let masks = Instance.containing_masks inst id in
+          let gain = ref 0.0 in
+          Array.iteri
+            (fun j qi ->
+              let full = Cover.full_mask state qi in
+              let m = Cover.mask state qi in
+              if m <> full && m lor masks.(j) = full then
+                gain := !gain +. Instance.utility inst qi)
+            (Instance.queries_containing inst id);
+          let gain = !gain in
           if gain > 1e-12 then begin
             let ratio = gain /. max mc 1e-9 in
             match !best with

@@ -46,22 +46,22 @@ type result = { solution : Solution.t; credited : float }
    [state]. *)
 let gain_of credit state id =
   let inst = Cover.instance state in
-  let c = Instance.classifier inst id in
-  Array.fold_left
-    (fun acc qi ->
-      let q = Instance.query inst qi in
-      let len = Propset.length q in
+  let masks = Instance.containing_masks inst id in
+  let gain = ref 0.0 in
+  Array.iteri
+    (fun j qi ->
+      let len = Propset.length (Instance.query inst qi) in
       let m = Cover.mask state qi in
-      let m' = m lor Propset.positions_in c q in
-      if m' = m then acc
-      else begin
+      let m' = m lor masks.(j) in
+      if m' <> m then begin
         let u = Instance.utility inst qi in
-        acc
-        +. credit_value credit ~utility:u ~covered:(popcount m') ~length:len
-        -. credit_value credit ~utility:u ~covered:(popcount m) ~length:len
+        gain :=
+          !gain
+          +. credit_value credit ~utility:u ~covered:(popcount m') ~length:len
+          -. credit_value credit ~utility:u ~covered:(popcount m) ~length:len
       end)
-    0.0
-    (Instance.queries_containing inst id)
+    (Instance.queries_containing inst id);
+  !gain
 
 let greedy credit inst =
   let budget = Instance.budget inst in
@@ -101,17 +101,14 @@ let greedy credit inst =
             ignore affected;
             (* Exact refresh of the classifiers whose gains the selection
                touched: all subsets of the queries containing [id]. *)
-            let inst' = inst in
             Array.iter
               (fun qi ->
-                List.iter
-                  (fun sub ->
-                    match Instance.classifier_id inst' sub with
-                    | Some d when (not (Cover.is_selected state d)) && Heap.mem heap d ->
-                        Heap.update heap d (prio d)
-                    | _ -> ())
-                  (Propset.subsets (Instance.query inst' qi)))
-              (Instance.queries_containing inst' id)
+                for mask = 1 to Cover.full_mask state qi do
+                  let d = Instance.subset_id inst qi mask in
+                  if d >= 0 && (not (Cover.is_selected state d)) && Heap.mem heap d then
+                    Heap.update heap d (prio d)
+                done)
+              (Instance.queries_containing inst id)
           end
         end
   done;

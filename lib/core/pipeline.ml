@@ -108,17 +108,15 @@ let set_key names s =
   | None -> String.concat "," (List.map string_of_int (Propset.to_list s))
 
 (* Shared memo tables for a batch of fingerprints over one instance.
-   Canonical keys, [%.17g] renderings and per-query-set classifier
-   candidates all repeat heavily across components (clustered queries
-   share property sets, costs repeat), so one stage-wide context turns
-   most of the canonicalization into hash lookups.  Pure memoization:
-   the emitted bytes are identical with or without it. *)
+   Canonical keys and [%.17g] renderings repeat heavily across
+   components (clustered queries share property sets, costs repeat), so
+   one stage-wide context turns most of the canonicalization into hash
+   lookups.  Pure memoization: the emitted bytes are identical with or
+   without it. *)
 type fp_ctx = {
   fp_header : int -> string;  (* grid -> header line *)
   fp_key : Propset.t -> string;
   fp_flt : float -> string;
-  fp_cands : Propset.t -> (Propset.t * string * float) list;
-      (* finite-cost subsets of a query set, with canonical keys *)
 }
 
 let fp_ctx ~options inst =
@@ -127,7 +125,6 @@ let fp_ctx ~options inst =
   let post = Printf.sprintf "|opts=%s\n" (options_sig options) in
   let keys = Hashtbl.create 512 in
   let flts = Hashtbl.create 512 in
-  let cands = Hashtbl.create 512 in
   let fp_key s =
     match Hashtbl.find_opt keys s with
     | Some k -> k
@@ -144,21 +141,7 @@ let fp_ctx ~options inst =
         Hashtbl.add flts v s;
         s
   in
-  let fp_cands q =
-    match Hashtbl.find_opt cands q with
-    | Some l -> l
-    | None ->
-        let l =
-          List.filter_map
-            (fun c ->
-              let w = Instance.cost_of inst c in
-              if w < infinity then Some (c, fp_key c, w) else None)
-            (Propset.subsets q)
-        in
-        Hashtbl.add cands q l;
-        l
-  in
-  { fp_header = (fun g -> pre ^ string_of_int g ^ post); fp_key; fp_flt; fp_cands }
+  { fp_header = (fun g -> pre ^ string_of_int g ^ post); fp_key; fp_flt }
 
 let fingerprint_with ctx ~grid inst (comp : Decompose.component) =
   let b = Buffer.create 512 in
@@ -179,10 +162,18 @@ let fingerprint_with ctx ~grid inst (comp : Decompose.component) =
       Buffer.add_string b (ctx.fp_flt u);
       Buffer.add_char b '\n')
     queries;
+  (* Every finite-cost classifier inside the component's queries. *)
+  let ids = ref [] in
+  List.iter
+    (fun qi ->
+      for mask = 1 to (1 lsl Propset.length (Instance.query inst qi)) - 1 do
+        let id = Instance.subset_id inst qi mask in
+        if id >= 0 then ids := id :: !ids
+      done)
+    comp.Decompose.queries;
   let classifiers =
-    List.concat_map (fun (_, s, _) -> ctx.fp_cands s) queries
-    |> List.sort_uniq (fun (c1, _, _) (c2, _, _) -> Propset.compare c1 c2)
-    |> List.map (fun (_, k, w) -> (k, w))
+    List.sort_uniq Int.compare !ids
+    |> List.map (fun id -> (ctx.fp_key (Instance.classifier inst id), Instance.cost inst id))
     |> List.sort compare
   in
   List.iter

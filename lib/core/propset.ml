@@ -32,7 +32,20 @@ let subset (a : t) (b : t) =
   go 0 0
 
 let equal (a : t) (b : t) = a = b
-let compare (a : t) (b : t) = Stdlib.compare a b
+(* Stdlib.compare's order on int arrays (shorter first, then
+   elementwise), without the polymorphic walk. *)
+let compare (a : t) (b : t) =
+  let na = length a and nb = length b in
+  if na <> nb then Int.compare na nb
+  else begin
+    let rec go i =
+      if i >= na then 0
+      else
+        let c = Int.compare a.(i) b.(i) in
+        if c <> 0 then c else go (i + 1)
+    in
+    go 0
+  end
 let hash (t : t) = Hashtbl.hash t
 
 let union (a : t) (b : t) =

@@ -26,6 +26,9 @@ val subset : t -> t -> bool
 
 val equal : t -> t -> bool
 val compare : t -> t -> int
+(** [Stdlib.compare]'s order on the underlying arrays: shorter sets
+    first, then elementwise. *)
+
 val hash : t -> int
 val union : t -> t -> t
 val inter : t -> t -> t
@@ -43,7 +46,8 @@ val strict_subsets : t -> t list
 val positions_in : t -> t -> int
 (** [positions_in c q] = bitmask over [q]'s sorted positions marking
     where [c]'s members sit; members of [c] outside [q] are ignored.
-    Used by the incremental cover tracker. *)
+    The solvers read these masks precomputed from
+    {!Instance.containing_masks}; this is their reference. *)
 
 val pp : ?names:Symtab.t -> Format.formatter -> t -> unit
 val to_string : ?names:Symtab.t -> t -> string

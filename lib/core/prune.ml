@@ -9,16 +9,26 @@ let rule1 ?budget ?(mode = `Lossless) ?(deadline = Bcc_robust.Deadline.none) ins
   let budget = match budget with Some b -> b | None -> Instance.budget inst in
   let n = Instance.num_classifiers inst in
   let keep = Array.make n true in
-  let singleton_sum c =
-    Propset.fold
-      (fun acc p -> acc +. Instance.cost_of inst (Propset.singleton p))
-      0.0 c
+  (* Total cost of the singletons at [mask]'s positions in query [qi],
+     summed in ascending property order. *)
+  let singleton_sum qi mask =
+    let sum = ref 0.0 in
+    for i = 0 to Propset.length (Instance.query inst qi) - 1 do
+      if mask land (1 lsl i) <> 0 then begin
+        let id = Instance.subset_id inst qi (1 lsl i) in
+        sum := !sum +. if id >= 0 then Instance.cost inst id else infinity
+      end
+    done;
+    !sum
   in
   for id = 0 to n - 1 do
-    let c = Instance.classifier inst id in
-    let len = Propset.length c in
+    let len = Propset.length (Instance.classifier inst id) in
     if len > 1 then begin
-      let replacement = singleton_sum c in
+      (* Every classifier is a subset of some query. *)
+      let replacement =
+        singleton_sum (Instance.queries_containing inst id).(0)
+          (Instance.containing_masks inst id).(0)
+      in
       let threshold =
         match mode with
         | `Lossless -> Instance.cost inst id
@@ -35,8 +45,7 @@ let rule1 ?budget ?(mode = `Lossless) ?(deadline = Bcc_robust.Deadline.none) ins
     (* The budget guard's cheapest-cover scans dominate on big
        instances; the explicit context deadline bounds them per query. *)
     Bcc_robust.Deadline.check deadline;
-    let q = Instance.query inst qi in
-    let singles = singleton_sum q in
+    let singles = singleton_sum qi (Cover.full_mask state qi) in
     if singles > budget then begin
       let affordable_with_kept =
         match Covers.cheapest_cover state ~allowed:(fun id -> keep.(id)) qi with
@@ -50,12 +59,10 @@ let rule1 ?budget ?(mode = `Lossless) ?(deadline = Bcc_robust.Deadline.none) ins
           | None -> false
         in
         if affordable_at_all then
-          List.iter
-            (fun c ->
-              match Instance.classifier_id inst c with
-              | Some id -> keep.(id) <- true
-              | None -> ())
-            (Propset.subsets q)
+          for mask = 1 to Cover.full_mask state qi do
+            let id = Instance.subset_id inst qi mask in
+            if id >= 0 then keep.(id) <- true
+          done
       end
     end
   done;

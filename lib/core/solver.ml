@@ -71,14 +71,13 @@ let mc3_improvement inst state options =
     let rev = ref [] in
     List.iter
       (fun qi ->
-        List.iter
-          (fun c ->
-            match Instance.classifier_id inst c with
-            | Some id when not (Hashtbl.mem seen id) ->
-                Hashtbl.add seen id ();
-                rev := id :: !rev
-            | _ -> ())
-          (Propset.subsets (Instance.query inst qi)))
+        for mask = 1 to Cover.full_mask state qi do
+          let id = Instance.subset_id inst qi mask in
+          if id >= 0 && not (Hashtbl.mem seen id) then begin
+            Hashtbl.add seen id ();
+            rev := id :: !rev
+          end
+        done)
       covered;
     let candidate_ids = Array.of_list (List.rev !rev) in
     let classifiers =

@@ -77,7 +77,12 @@ let load_lines ~name next_line =
           match tokens line with
           | [ "budget"; b ] -> budget := parse_float "budget" b
           | [ "query"; props; u ] ->
-              queries := (parse_props props, parse_float "utility" u) :: !queries
+              let q = parse_props props in
+              if Propset.length q > Instance.max_query_length then
+                failwith
+                  (Printf.sprintf "Io.load: more than %d properties in query: %s"
+                     Instance.max_query_length props);
+              queries := (q, parse_float "utility" u) :: !queries
           | [ "classifier"; props; c ] ->
               Propset.Tbl.replace costs (parse_props props) (parse_float "cost" c)
           | _ -> failwith ("Io.load: malformed line: " ^ line)

@@ -24,12 +24,13 @@ val to_string : Bcc_core.Instance.t -> string
 (** The exact bytes {!save} would write. *)
 
 val load : string -> Bcc_core.Instance.t
-(** @raise Failure on a malformed file. *)
+(** @raise Failure on a malformed file, including a query with more
+    than {!Bcc_core.Instance.max_query_length} properties. *)
 
 val load_string : ?name:string -> string -> Bcc_core.Instance.t
 (** Parses the same format from an in-memory string ([name] defaults to
     ["<string>"]).  Passes the ["io.load"] fault point first.
-    @raise Failure on malformed input. *)
+    @raise Failure on malformed input, as {!load}. *)
 
 val save_solution : string -> Bcc_core.Instance.t -> Bcc_core.Solution.t -> unit
 (** Writes the selected classifiers (one [select p1;p2;... cost] line

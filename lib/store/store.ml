@@ -160,10 +160,8 @@ let materialize w =
   | Some inst when w.cached_epoch = w.epoch -> inst
   | _ ->
       Trace.with_span ~name:"store.materialize" @@ fun sp ->
-      let qs =
-        Propset.Tbl.fold (fun q u acc -> (q, u) :: acc) w.queries []
-        |> List.sort (fun (a, _) (b, _) -> Propset.compare a b)
-      in
+      (* Instance.create sorts the queries itself. *)
+      let qs = Propset.Tbl.fold (fun q u acc -> (q, u) :: acc) w.queries [] in
       let cost c =
         match Propset.Tbl.find_opt w.costs c with
         | Some x -> x
@@ -194,8 +192,10 @@ let validate_ops ops =
       (fun p ->
         if p = "" then failwith ("Store.delta: empty property name in " ^ what))
       ps;
-    if List.length (List.sort_uniq compare ps) > 16 then
-      failwith ("Store.delta: more than 16 properties in " ^ what)
+    if List.length (List.sort_uniq compare ps) > Instance.max_query_length then
+      failwith
+        (Printf.sprintf "Store.delta: more than %d properties in %s"
+           Instance.max_query_length what)
   in
   let check_num what x =
     if Float.is_nan x then failwith ("Store.delta: " ^ what ^ " is NaN");

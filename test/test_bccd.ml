@@ -592,6 +592,34 @@ let kill_hard d =
   (try ignore (Unix.waitpid [] d.pid) with Unix.Unix_error _ -> ());
   try close_in d.out with Sys_error _ -> ()
 
+(* A query longer than Instance.max_query_length is malformed input:
+   400 on an inline /solve and on a workload PUT, never a 500. *)
+let long_query_400 () =
+  let dir = temp_state_dir () in
+  let d = start_daemon [ "--workers"; "2"; "--state-dir"; dir ] in
+  Fun.protect
+    ~finally:(fun () ->
+      kill_hard d;
+      rm_state_dir dir)
+    (fun () ->
+      let long = String.concat ";" (List.init 17 (Printf.sprintf "p%d")) in
+      let text = Printf.sprintf "budget 4\nquery %s 1\nclassifier p0 1\n" long in
+      let status, body =
+        request ~port:d.port ~meth:"POST" ~path:"/solve"
+          ~body:(Json.to_string (Json.Obj [ ("text", Json.Str text) ])) ()
+      in
+      Alcotest.(check int) "inline /solve -> 400" 400 status;
+      Alcotest.(check bool) "the error names the limit" true (contains body "16 properties");
+      Alcotest.(check int) "PUT /workloads -> 400" 400
+        (fst (request ~port:d.port ~meth:"PUT" ~path:"/workloads/long" ~body:text ()));
+      Alcotest.(check int) "16 properties still load" 200
+        (fst
+           (request ~port:d.port ~meth:"PUT" ~path:"/workloads/ok"
+              ~body:
+                (Printf.sprintf "budget 4\nquery %s 1\nclassifier p0 1\n"
+                   (String.concat ";" (List.init 16 (Printf.sprintf "p%d"))))
+              ())))
+
 (* --- telemetry: correlation header -> flight recorder -> metrics --- *)
 
 let header_value raw name =
@@ -1285,4 +1313,5 @@ let suite =
     ("store: workload lifecycle over HTTP", `Quick, store_lifecycle);
     ("store: SIGKILL + restart serves the committed state", `Quick, store_crash_recovery);
     ("cluster: routing, SIGKILL failover, recovery", `Quick, cluster_sigkill_failover);
+    ("e2e: query over 16 properties -> 400 on /solve and PUT", `Quick, long_query_400);
   ]

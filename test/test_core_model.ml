@@ -219,6 +219,115 @@ let cheapest_cover_matches_brute =
       done;
       !ok)
 
+(* Random instances for the subset table: queries of up to five
+   properties over six, some of them repeated (merged by create), and
+   costs with zeros and infinities. *)
+let table_instance seed =
+  let rng = Rng.create seed in
+  let distinct =
+    Array.init 10 (fun _ ->
+        let len = 1 + Rng.int rng 5 in
+        (Propset.of_array (Rng.sample_without_replacement rng len 6), float_of_int (1 + Rng.int rng 9)))
+  in
+  let queries = Array.append distinct (Array.sub distinct 0 3) in
+  let cost c =
+    match Rng.int (Rng.create ((Propset.hash c * 131) lxor seed)) 8 with
+    | 0 -> 0.0
+    | 1 -> infinity
+    | k -> float_of_int k
+  in
+  Instance.create ~budget:100.0 ~queries ~cost ()
+
+let subset_table_agrees =
+  QCheck.Test.make ~name:"subset table and containing masks = subsets, classifier_id, positions_in"
+    ~count:200 QCheck.small_int (fun seed ->
+      let inst = table_instance seed in
+      let ok = ref true in
+      for qi = 0 to Instance.num_queries inst - 1 do
+        let q = Instance.query inst qi in
+        List.iteri
+          (fun i c ->
+            let want = match Instance.classifier_id inst c with Some id -> id | None -> -1 in
+            if Instance.subset_id inst qi (i + 1) <> want then ok := false;
+            if Propset.positions_in c q <> i + 1 then ok := false)
+          (Propset.subsets q)
+      done;
+      for id = 0 to Instance.num_classifiers inst - 1 do
+        let qs = Instance.queries_containing inst id in
+        let ms = Instance.containing_masks inst id in
+        if Array.length qs <> Array.length ms then ok := false
+        else
+          Array.iteri
+            (fun j qi ->
+              if j > 0 && qs.(j - 1) >= qi then ok := false;
+              let want = Propset.positions_in (Instance.classifier inst id) (Instance.query inst qi) in
+              if ms.(j) <> want then ok := false)
+            qs
+      done;
+      !ok)
+
+(* The DP against brute force over the unselected, allowed classifiers
+   inside the query, from a state with some classifiers already bought.
+   A cheapest cover needs at most one classifier per residual property
+   (costs are non-negative), which bounds the search. *)
+let cheapest_cover_matches_brute_residual =
+  QCheck.Test.make ~name:"cheapest-cover DP = brute force on residuals (queries up to 5)"
+    ~count:100 QCheck.small_int (fun seed ->
+      let inst = table_instance seed in
+      let rng = Rng.create (seed + 7) in
+      let state = Cover.create inst in
+      for id = 0 to Instance.num_classifiers inst - 1 do
+        if Rng.int rng 6 = 0 then Cover.select state id
+      done;
+      let allowed id = (id * 7 + seed) mod 5 <> 0 in
+      let ok = ref true in
+      for qi = 0 to Instance.num_queries inst - 1 do
+        let q = Instance.query inst qi in
+        let target = Cover.full_mask state qi land lnot (Cover.mask state qi) in
+        let cands =
+          List.filter_map
+            (fun c ->
+              match Instance.classifier_id inst c with
+              | Some id when (not (Cover.is_selected state id)) && allowed id ->
+                  Some (id, Propset.positions_in c q land target)
+              | _ -> None)
+            (Propset.subsets q)
+          |> Array.of_list
+        in
+        let best = ref infinity in
+        let rec go start depth bits cost =
+          if bits = target then best := Float.min !best cost
+          else if depth > 0 && cost < !best then
+            for i = start to Array.length cands - 1 do
+              let id, b = cands.(i) in
+              go (i + 1) (depth - 1) (bits lor b) (cost +. Instance.cost inst id)
+            done
+        in
+        let rec popcount m = if m = 0 then 0 else (m land 1) + popcount (m lsr 1) in
+        if target <> 0 then go 0 (popcount target) 0 0.0;
+        match Covers.cheapest_cover state ~allowed qi with
+        | Some (cost, ids) ->
+            let bits =
+              List.fold_left
+                (fun acc id ->
+                  if Cover.is_selected state id || not (allowed id) then ok := false;
+                  acc lor Propset.positions_in (Instance.classifier inst id) q)
+                0 ids
+            in
+            let sum = List.fold_left (fun acc id -> acc +. Instance.cost inst id) 0.0 ids in
+            if bits land target <> target then ok := false;
+            if Float.abs (cost -. !best) > 1e-9 || Float.abs (sum -. cost) > 1e-9 then ok := false
+        | None -> if target <> 0 && !best < infinity then ok := false
+      done;
+      !ok)
+
+let propset_compare_is_stdlib =
+  QCheck.Test.make ~name:"Propset.compare has Stdlib.compare's sign" ~count:500
+    (QCheck.pair propset_gen propset_gen) (fun (a, b) ->
+      let sign x = Int.compare x 0 in
+      sign (Propset.compare a b) = sign (Stdlib.compare (Propset.to_array a) (Propset.to_array b))
+      && Propset.compare a a = 0)
+
 (* --- Decompose / Prune --- *)
 
 let decompose_l1_is_knapsack () =
@@ -305,4 +414,7 @@ let suite =
       prune_uniform_keeps_singletons;
     Alcotest.test_case "prune budget guard" `Quick prune_budget_guard;
     Alcotest.test_case "prune keeps cheap conjunctions" `Quick prune_keeps_cheap_conjunctions;
+    qtest subset_table_agrees;
+    qtest cheapest_cover_matches_brute_residual;
+    qtest propset_compare_is_stdlib;
   ]

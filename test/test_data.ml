@@ -126,6 +126,21 @@ let io_rejects_malformed () =
        Sys.remove path;
        true)
 
+(* A query past Instance.max_query_length is a [Failure] at load time,
+   not an [Invalid_argument] out of Instance.create. *)
+let io_rejects_long_query () =
+  let text n =
+    Printf.sprintf "budget 1\nquery %s 1\n"
+      (String.concat ";" (List.init n (Printf.sprintf "p%d")))
+  in
+  Alcotest.(check int) "16 properties load" 1
+    (Instance.num_queries (Io.load_string (text 16)));
+  match Io.load_string (text 17) with
+  | _ -> Alcotest.fail "17 properties loaded"
+  | exception Failure msg ->
+      Alcotest.(check bool) "names the limit" true
+        (String.starts_with ~prefix:"Io.load: more than 16 properties" msg)
+
 let costs_oracles () =
   let module Costs = Bcc_data.Costs in
   let module Rng = Bcc_util.Rng in
@@ -284,6 +299,7 @@ let suite =
     QCheck_alcotest.to_alcotest io_string_roundtrip_prop;
     Alcotest.test_case "io tolerates runs of blanks and CRLF" `Quick io_tolerant_whitespace;
     Alcotest.test_case "io rejects malformed input" `Quick io_rejects_malformed;
+    Alcotest.test_case "io rejects a query over 16 properties" `Quick io_rejects_long_query;
     Alcotest.test_case "cost oracles" `Quick costs_oracles;
     Alcotest.test_case "solution roundtrip" `Quick solution_roundtrip;
     Alcotest.test_case "solution load rejects foreign classifier" `Quick

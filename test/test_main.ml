@@ -10,6 +10,7 @@ let () =
       ("qk", Test_qk.suite);
       ("core-model", Test_core_model.suite);
       ("paper-examples", Test_paper_examples.suite);
+      ("golden", Test_golden.suite);
       ("solver", Test_solver.suite);
       ("gmc3-ecc", Test_gmc3_ecc.suite);
       ("data", Test_data.suite);
