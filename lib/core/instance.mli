@@ -33,6 +33,40 @@ val create :
     dropped.  @raise Invalid_argument on a negative utility, negative
     cost, negative budget or a query longer than {!max_query_length}. *)
 
+val patch :
+  ?name:string ->
+  budget:float ->
+  changes:(Propset.t * float option) list ->
+  repriced:Propset.t list ->
+  cost:(Propset.t -> float) ->
+  t ->
+  t
+(** [patch ~budget ~changes ~repriced ~cost prev] is the instance one
+    workload step after [prev], derived from it instead of from the
+    whole workload.  [changes] lists changed query keys, each with its
+    new utility or [None] for a removal (keys must be distinct; empty
+    keys are ignored, as {!create} drops empty queries); [repriced]
+    lists every set whose price under [cost] may differ from the price
+    [prev] was built with.  [cost] is consulted only for [repriced] and
+    for subsets of inserted queries that are not classifiers of
+    [prev].  [name]
+    defaults to [prev]'s; the symbol table is [prev]'s.
+
+    Exactness: when [prev] is [create ~queries:qs ~cost:c0] and [cost]
+    agrees with [c0] outside [repriced], the result equals
+    [create ~budget ~queries:qs' ~cost] on the changed query set [qs']
+    through every accessor: the same queries and utilities in the same
+    order, the same classifiers with the same ids and costs, the same
+    [classifier_id], [subset_id], [queries_containing],
+    [containing_masks], [num_properties] and [max_length].  The same
+    holds for a chain of patches.
+
+    [prev] is never mutated and stays valid.  The cost is linear in the
+    size of [prev]'s tables (int passes, and one hash per classifier
+    for the id table; kept queries' subsets are not hashed) plus the
+    hashing of inserted queries' subsets and of [repriced].
+    @raise Invalid_argument as {!create} does, or on a duplicate key. *)
+
 val name : t -> string
 val names : t -> Symtab.t option
 val budget : t -> float

@@ -31,7 +31,13 @@ let subset (a : t) (b : t) =
   in
   go 0 0
 
-let equal (a : t) (b : t) = a = b
+let equal (a : t) (b : t) =
+  let n = length a in
+  n = length b
+  &&
+  let rec go i = i >= n || (a.(i) = b.(i) && go (i + 1)) in
+  go 0
+
 (* Stdlib.compare's order on int arrays (shorter first, then
    elementwise), without the polymorphic walk. *)
 let compare (a : t) (b : t) =

@@ -65,6 +65,10 @@ type workload = {
   mutable epoch : int;
   mutable cached : Instance.t option;
   mutable cached_epoch : int;
+  (* The query and classifier keys the deltas since [cached_epoch]
+     touched: the next [materialize] patches [cached] from them. *)
+  touched_queries : unit Propset.Tbl.t;
+  touched_costs : unit Propset.Tbl.t;
   mutable last : solved option;  (* info field is stale; refreshed on access *)
   mutable warm_ratio : float option;
   mutable jfd : Unix.file_descr option;
@@ -155,31 +159,50 @@ let prop_name w p = Symtab.name w.names p
 let props_string w set =
   String.concat ";" (List.map (prop_name w) (Propset.to_list set))
 
+(* The epoch's instance: patched from the cached one of an earlier epoch
+   by the keys the deltas since then touched, or built from the whole
+   workload when nothing is cached (after a put of a log or a replay).
+   Both give the same instance (Instance.patch's contract), so answers do
+   not depend on the path. *)
 let materialize w =
   match w.cached with
   | Some inst when w.cached_epoch = w.epoch -> inst
-  | _ ->
+  | cached ->
       Trace.with_span ~name:"store.materialize" @@ fun sp ->
-      (* Instance.create sorts the queries itself. *)
-      let qs = Propset.Tbl.fold (fun q u acc -> (q, u) :: acc) w.queries [] in
+      let name = Printf.sprintf "%s@%d" w.wname w.epoch in
       let cost c =
         match Propset.Tbl.find_opt w.costs c with
         | Some x -> x
         | None -> ( match w.oracle with Some f -> f c | None -> infinity)
       in
-      let inst =
-        Instance.create
-          ~name:(Printf.sprintf "%s@%d" w.wname w.epoch)
-          ~names:w.names ~budget:w.budget
-          ~queries:(Array.of_list qs)
-          ~cost ()
+      let changed = Propset.Tbl.length w.touched_queries + Propset.Tbl.length w.touched_costs in
+      let mode, inst =
+        match cached with
+        | Some prev ->
+            let changes =
+              Propset.Tbl.fold
+                (fun q () acc -> (q, Propset.Tbl.find_opt w.queries q) :: acc)
+                w.touched_queries []
+            in
+            let repriced = Propset.Tbl.fold (fun c () acc -> c :: acc) w.touched_costs [] in
+            ("patch", Instance.patch ~name ~budget:w.budget ~changes ~repriced ~cost prev)
+        | None ->
+            (* Instance.create sorts the queries itself. *)
+            let qs = Propset.Tbl.fold (fun q u acc -> (q, u) :: acc) w.queries [] in
+            ( "create",
+              Instance.create ~name ~names:w.names ~budget:w.budget
+                ~queries:(Array.of_list qs) ~cost () )
       in
       w.cached <- Some inst;
       w.cached_epoch <- w.epoch;
+      Propset.Tbl.reset w.touched_queries;
+      Propset.Tbl.reset w.touched_costs;
       if Trace.recording sp then begin
         Trace.add_attr sp "workload" (Trace.Str w.wname);
         Trace.add_attr sp "epoch" (Trace.Int w.epoch);
-        Trace.add_attr sp "queries" (Trace.Int (Instance.num_queries inst))
+        Trace.add_attr sp "queries" (Trace.Int (Instance.num_queries inst));
+        Trace.add_attr sp "mode" (Trace.Str mode);
+        Trace.add_attr sp "changed" (Trace.Int changed)
       end;
       inst
 
@@ -218,21 +241,29 @@ let validate_ops ops =
           check_num "cost" c)
     ops
 
+(* Applies a validated batch without polling the deadline: in [delta]
+   the journal record is already committed, and an op left unapplied
+   would leave memory behind the journal. *)
 let apply_ops w ops =
   let intern ps = Propset.of_list (List.map (Symtab.intern w.names) ps) in
+  let query ps =
+    let q = intern ps in
+    Propset.Tbl.replace w.touched_queries q ();
+    q
+  in
   List.iter
     (fun (op : Delta.op) ->
-      Deadline.poll ();
       match op with
       | Delta.Set_budget b -> w.budget <- b
-      | Delta.Upsert (ps, u) -> Propset.Tbl.replace w.queries (intern ps) u
+      | Delta.Upsert (ps, u) -> Propset.Tbl.replace w.queries (query ps) u
       | Delta.Add (ps, u) ->
-          let q = intern ps in
+          let q = query ps in
           let prev = Option.value ~default:0.0 (Propset.Tbl.find_opt w.queries q) in
           Propset.Tbl.replace w.queries q (prev +. u)
-      | Delta.Remove ps -> Propset.Tbl.remove w.queries (intern ps)
+      | Delta.Remove ps -> Propset.Tbl.remove w.queries (query ps)
       | Delta.Set_cost (ps, c) ->
           let s = intern ps in
+          Propset.Tbl.replace w.touched_costs s ();
           if Float.is_finite c then Propset.Tbl.replace w.costs s c
           else Propset.Tbl.remove w.costs s)
     ops
@@ -255,6 +286,8 @@ let build_state ~name ?budget source =
       epoch = 0;
       cached = None;
       cached_epoch = -1;
+      touched_queries = Propset.Tbl.create 16;
+      touched_costs = Propset.Tbl.create 16;
       last = None;
       warm_ratio = None;
       jfd = None;
@@ -301,6 +334,12 @@ let render_snapshot w =
   (* %.17g: utilities accumulate float increments; the snapshot must
      round-trip them exactly or a replayed workload would drift. *)
   Printf.bprintf buf "budget %.17g\n" w.budget;
+  (* The symbol table in id order: replay interns these first, so a
+     reopened workload numbers its properties, and so orders its queries
+     and classifiers, as the live one does. *)
+  for p = 0 to Symtab.size w.names - 1 do
+    Printf.bprintf buf "prop %s\n" (prop_name w p)
+  done;
   let sorted tbl =
     Propset.Tbl.fold (fun k v acc -> (k, v) :: acc) tbl []
     |> List.sort (fun (a, _) (b, _) -> Propset.compare a b)
@@ -364,6 +403,7 @@ let parse_snapshot ~file text =
             | Some e when e >= 0 -> epoch := Some e
             | _ -> fail ("bad epoch: " ^ e))
         | [ "budget"; b ] -> budget := Some (parse_num "budget" b)
+        | [ "prop"; p ] -> ignore (Symtab.intern names p)
         | [ "query"; props; u ] ->
             Propset.Tbl.replace queries (parse_props props) (parse_num "utility" u)
         | [ "cost"; props; c ] ->
@@ -398,6 +438,8 @@ let parse_snapshot ~file text =
           epoch;
           cached = None;
           cached_epoch = -1;
+          touched_queries = Propset.Tbl.create 16;
+          touched_costs = Propset.Tbl.create 16;
           last = None;
           warm_ratio = None;
           jfd = None;
@@ -829,6 +871,9 @@ let delta t ~name ops =
   | () ->
       if ops = [] then Error (`Bad "empty delta: no ops")
       else begin
+        (* The last point where the batch may still be refused: past the
+           append it is committed, and it is applied in full. *)
+        Deadline.poll ();
         append t w
           {
             Codec.kind = "delta";
@@ -838,7 +883,6 @@ let delta t ~name ops =
           };
         apply_ops w ops;
         w.epoch <- w.epoch + 1;
-        w.cached <- None;
         evict_artifacts t w ops;
         Atomic.incr t.epochs;
         maybe_compact t w;
@@ -921,7 +965,6 @@ let solve t ~name ?options ?(cold = false) ?(incremental = false) ?(deadline = D
       epoch = w.epoch;
       payload = Codec.solution_to_string inst solution;
     };
-  maybe_compact t w;
   w.warm_ratio <-
     (match warm with
     | Some _ ->
@@ -942,6 +985,10 @@ let solve t ~name ?options ?(cold = false) ?(incremental = false) ?(deadline = D
     }
   in
   w.last <- Some s;
+  (* Compact only once [w.last] holds this solve: the snapshot must carry
+     it, since the truncated journal no longer does. *)
+  maybe_compact t w;
+  let s = { s with info = info_of w } in
   if Trace.recording sp then begin
     Trace.add_attr sp "workload" (Trace.Str name);
     Trace.add_attr sp "epoch" (Trace.Int w.epoch);

@@ -7,8 +7,11 @@
     search logs drift continuously (utilities are search counts,
     Section 6.1), so the instance a solve sees is always "the workload
     as of epoch [e]".  The materialized {!Bcc_core.Instance.t} is cached
-    per epoch; queries are ordered by {!Bcc_core.Propset.compare} so a
-    replayed workload materializes bit-identically.
+    per epoch and patched from the previous epoch's instance by the keys
+    the deltas since then touched ({!Bcc_core.Instance.patch}, exact
+    against a full build); snapshots keep the property numbering and
+    queries are ordered by {!Bcc_core.Propset.compare}, so a replayed
+    workload materializes bit-identically.
 
     {2 Persistence}
 
@@ -44,7 +47,7 @@
 
     All mutating operations run under a per-workload lock (solves of
     distinct workloads proceed in parallel), carry {!Bcc_obs.Trace}
-    spans, and poll the ambient {!Bcc_robust.Deadline}. *)
+    spans, and check the ambient {!Bcc_robust.Deadline} before they commit. *)
 
 type t
 
@@ -114,7 +117,10 @@ val put : t -> name:string -> ?budget:float -> source -> (info, error) result
 
 val delta : t -> name:string -> Delta.op list -> (info, error) result
 (** Apply one batch atomically: the new epoch exists after the journal
-    record is fsynced, or not at all. *)
+    record is fsynced, or not at all.  The ambient
+    {!Bcc_robust.Deadline} is checked once, before the record is
+    appended: an expired deadline raises with nothing committed, and a
+    committed batch is always applied in full. *)
 
 val solve :
   t ->

@@ -73,3 +73,50 @@ let random_graph ~seed ~n ~density ~max_cost ~max_weight =
     done
   done;
   Bcc_graph.Graph.build b
+
+(* The first difference between two instances through every accessor,
+   or [None]: queries, utilities and costs to the bit, classifier ids,
+   the subset table, the containment index, [n], [l] and the budget.
+   [probes] are extra sets whose [classifier_id] must agree (sets that
+   left the universe, say). *)
+let instance_diff ?(probes = []) a b =
+  let bits x = Int64.bits_of_float x in
+  let fail fmt = Printf.ksprintf (fun s -> raise (Failure s)) fmt in
+  let str = Propset.to_string in
+  let id_of inst c = Option.value ~default:(-1) (Instance.classifier_id inst c) in
+  try
+    if Instance.name a <> Instance.name b then
+      fail "name %s vs %s" (Instance.name a) (Instance.name b);
+    if bits (Instance.budget a) <> bits (Instance.budget b) then fail "budget";
+    if Instance.num_queries a <> Instance.num_queries b then
+      fail "num_queries %d vs %d" (Instance.num_queries a) (Instance.num_queries b);
+    if Instance.num_properties a <> Instance.num_properties b then fail "num_properties";
+    if Instance.max_length a <> Instance.max_length b then fail "max_length";
+    if Instance.num_classifiers a <> Instance.num_classifiers b then
+      fail "num_classifiers %d vs %d" (Instance.num_classifiers a) (Instance.num_classifiers b);
+    for qi = 0 to Instance.num_queries a - 1 do
+      let q = Instance.query a qi in
+      if not (Propset.equal q (Instance.query b qi)) then
+        fail "query %d: %s vs %s" qi (str q) (str (Instance.query b qi));
+      if bits (Instance.utility a qi) <> bits (Instance.utility b qi) then
+        fail "utility of %s" (str q);
+      List.iteri
+        (fun i c ->
+          if Instance.subset_id a qi (i + 1) <> Instance.subset_id b qi (i + 1) then
+            fail "subset_id %s mask %d" (str q) (i + 1);
+          if id_of a c <> id_of b c then fail "classifier_id %s" (str c))
+        (Propset.subsets q)
+    done;
+    for id = 0 to Instance.num_classifiers a - 1 do
+      let c = Instance.classifier a id in
+      if not (Propset.equal c (Instance.classifier b id)) then
+        fail "classifier %d: %s vs %s" id (str c) (str (Instance.classifier b id));
+      if bits (Instance.cost a id) <> bits (Instance.cost b id) then fail "cost of %s" (str c);
+      if Instance.queries_containing a id <> Instance.queries_containing b id then
+        fail "queries_containing %s" (str c);
+      if Instance.containing_masks a id <> Instance.containing_masks b id then
+        fail "containing_masks %s" (str c)
+    done;
+    List.iter (fun c -> if id_of a c <> id_of b c then fail "probe %s" (str c)) probes;
+    None
+  with Failure msg -> Some msg

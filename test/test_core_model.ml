@@ -388,6 +388,113 @@ let prune_keeps_cheap_conjunctions () =
   let id = match Instance.classifier_id inst (ps [ 0; 1 ]) with Some i -> i | None -> -1 in
   Alcotest.(check bool) "cheap XY kept" true keep.(id)
 
+(* --- Instance.patch --- *)
+
+let count n =
+  match Sys.getenv_opt "QCHECK_COUNT" with
+  | Some s -> (
+      match int_of_string_opt s with Some c when c > 0 -> c | _ -> n)
+  | None -> n
+
+(* A random workload, priced by explicit prices over either an oracle
+   (the log kind: every set has a price) or infinity (the text kind),
+   driven through a run of random change sets.  After every step the
+   patched chain must equal [create] on the same content, and the
+   instance it was patched from must be unchanged. *)
+let patch_equals_create =
+  QCheck.Test.make ~name:"Instance.patch = Instance.create over random change runs"
+    ~count:(count 300) QCheck.small_int (fun seed ->
+      let rng = Rng.create seed in
+      let num_props = 3 + Rng.int rng 6 in
+      let max_len = 1 + Rng.int rng 5 in
+      let random_set ?(props = num_props) () =
+        let len = 1 + Rng.int rng max_len in
+        Propset.of_array (Rng.sample_without_replacement rng (min len props) props)
+      in
+      let random_utility () =
+        match Rng.int rng 8 with 0 -> 0.0 | 1 -> -0.0 | k -> float_of_int k +. 0.5
+      in
+      let random_price () =
+        match Rng.int rng 6 with 0 -> infinity | 1 -> 0.0 | k -> float_of_int k
+      in
+      let oracle = Rng.bool rng in
+      let prices = Propset.Tbl.create 16 in
+      let cost c =
+        match Propset.Tbl.find_opt prices c with
+        | Some x -> x
+        | None when oracle -> (
+            match Rng.int (Rng.create ((Propset.hash c * 131) lxor seed)) 5 with
+            | 0 -> infinity
+            | k -> float_of_int k)
+        | None -> infinity
+      in
+      let work = Propset.Tbl.create 16 in
+      for _ = 1 to Rng.int rng 12 do
+        let q = random_set () in
+        Propset.Tbl.replace work q (random_utility ());
+        List.iter
+          (fun c -> if Rng.int rng 2 = 0 then Propset.Tbl.replace prices c (random_price ()))
+          (Propset.subsets q)
+      done;
+      let budget = ref (float_of_int (Rng.int rng 20)) in
+      let build step =
+        Instance.create ~name:(Printf.sprintf "w@%d" step) ~budget:!budget
+          ~queries:(Array.of_seq (Propset.Tbl.to_seq work))
+          ~cost ()
+      in
+      let existing () = Array.of_seq (Propset.Tbl.to_seq_keys work) in
+      let prev = ref (build 0) and prev_created = ref (build 0) in
+      for step = 1 to 1 + Rng.int rng 6 do
+        let changes = Propset.Tbl.create 8 and repriced = Propset.Tbl.create 8 in
+        for _ = 1 to Rng.int rng 6 do
+          let keys = existing () in
+          match Rng.int rng 7 with
+          | 0 ->
+              (* inserts anywhere, and past the last property seen so far *)
+              let q = random_set ~props:(num_props + Rng.int rng 3) () in
+              Propset.Tbl.replace changes q (Some (random_utility ()))
+          | 1 when keys <> [||] ->
+              (* a removal, orphaning what only that query held *)
+              Propset.Tbl.replace changes (Rng.choose rng keys) None
+          | 2 when keys <> [||] ->
+              Propset.Tbl.replace changes (Rng.choose rng keys) (Some (random_utility ()))
+          | 3 -> Propset.Tbl.replace changes (random_set ()) None
+          | 4 | 5 when keys <> [||] ->
+              let subs = Array.of_list (Propset.subsets (Rng.choose rng keys)) in
+              Propset.Tbl.replace repriced (Rng.choose rng subs) ()
+          | _ -> Propset.Tbl.replace repriced (random_set ()) ()
+        done;
+        let probes =
+          List.init (Instance.num_classifiers !prev) (Instance.classifier !prev)
+          @ List.of_seq (Propset.Tbl.to_seq_keys repriced)
+        in
+        Propset.Tbl.iter (fun c () -> Propset.Tbl.replace prices c (random_price ())) repriced;
+        Propset.Tbl.iter
+          (fun q u ->
+            match u with
+            | Some u -> Propset.Tbl.replace work q u
+            | None -> Propset.Tbl.remove work q)
+          changes;
+        if Rng.int rng 3 = 0 then budget := float_of_int (Rng.int rng 20);
+        let patched =
+          Instance.patch ~name:(Printf.sprintf "w@%d" step) ~budget:!budget
+            ~changes:(List.of_seq (Propset.Tbl.to_seq changes))
+            ~repriced:(List.of_seq (Propset.Tbl.to_seq_keys repriced))
+            ~cost !prev
+        in
+        let created = build step in
+        (match Fixtures.instance_diff ~probes patched created with
+        | Some msg ->
+            QCheck.Test.fail_reportf "seed %d step %d: patched vs created: %s" seed step msg
+        | None -> ());
+        (match Fixtures.instance_diff ~probes !prev !prev_created with
+        | Some msg -> QCheck.Test.fail_reportf "seed %d step %d: prev mutated: %s" seed step msg
+        | None -> ());
+        prev := patched;
+        prev_created := created
+      done;
+      true)
+
 let suite =
   [
     qtest propset_union_commutes;
@@ -417,4 +524,5 @@ let suite =
     qtest subset_table_agrees;
     qtest cheapest_cover_matches_brute_residual;
     qtest propset_compare_is_stdlib;
+    qtest patch_equals_create;
   ]

@@ -1,8 +1,10 @@
 (* The workload store: delta codec and apply semantics, epoch-cached
    materialization, warm-vs-cold solve quality, snapshot + journal
    persistence (including torn tails, mid-file corruption, compaction
-   and generation fencing on re-put), and qcheck properties over the
-   journal record codec. *)
+   and generation fencing on re-put), deadlines at the commit point, a
+   live store (patched instances) against its reopened state
+   directory (replayed ones), and qcheck properties over the journal
+   record codec. *)
 
 module Store = Bcc_store.Store
 module Delta = Bcc_store.Delta
@@ -11,6 +13,7 @@ module Instance = Bcc_core.Instance
 module Solution = Bcc_core.Solution
 module Io = Bcc_data.Io
 module Rng = Bcc_util.Rng
+module Deadline = Bcc_robust.Deadline
 
 let qtest = QCheck_alcotest.to_alcotest
 
@@ -409,6 +412,125 @@ let codec_truncation =
       && decoded = List.filteri (fun i _ -> i < n_expected) records
       && tail = cut - len_expected)
 
+(* --- deadlines and durability --- *)
+
+(* A delta refused by an expired deadline must not reach the journal:
+   replay keeps the first record at an epoch, so a refused record would
+   replace the next accepted delta after a restart. *)
+let refused_delta_not_replayed () =
+  with_dir @@ fun dir ->
+  let queries_of (s : Store.solved) =
+    let inst = s.Store.instance in
+    List.init (Instance.num_queries inst) (fun qi ->
+        Bcc_core.Propset.to_string ?names:(Instance.names inst) (Instance.query inst qi))
+  in
+  let store = Store.create ~dir () in
+  ignore (ok (Store.put store ~name:"w" (Store.Text "budget 5\nquery a;b 3\nclassifier a 1\n")));
+  (match
+     Deadline.with_current (Deadline.after 0.) (fun () ->
+         Store.delta store ~name:"w" [ Delta.Upsert ([ "x" ], 1.0) ])
+   with
+  | exception Deadline.Expired _ -> ()
+  | _ -> Alcotest.fail "an expired deadline must refuse the delta");
+  Alcotest.(check int) "refused delta leaves the epoch" 0
+    (Option.get (Store.info store "w")).Store.epoch;
+  let info = ok (Store.delta store ~name:"w" [ Delta.Upsert ([ "y" ], 2.0) ]) in
+  Alcotest.(check int) "accepted delta is epoch 1" 1 info.Store.epoch;
+  let live = queries_of (ok (Store.solve store ~name:"w" ())) in
+  Alcotest.(check (list string)) "live workload" [ "{y}"; "{a, b}" ] live;
+  Store.close store;
+  let store = Store.create ~dir () in
+  Alcotest.(check (list string)) "replayed workload" live
+    (queries_of (ok (Store.solve store ~name:"w" ~cold:true ())));
+  Store.close store
+
+(* --- patched instances vs replayed ones --- *)
+
+let copy_dir src dst =
+  Unix.mkdir dst 0o755;
+  Array.iter
+    (fun f ->
+      Out_channel.with_open_bin (Filename.concat dst f) (fun oc ->
+          Out_channel.output_string oc (read_file (Filename.concat src f))))
+    (Sys.readdir src)
+
+let random_ops rng =
+  (* "g" is new to every starting workload *)
+  let vocab = [| "a"; "b"; "c"; "d"; "e"; "g" |] in
+  let props () =
+    List.sort_uniq compare
+      (List.init (1 + Rng.int rng 3) (fun _ -> vocab.(Rng.int rng (Array.length vocab))))
+  in
+  List.init
+    (1 + Rng.int rng 4)
+    (fun _ ->
+      match Rng.int rng 10 with
+      | 0 -> Delta.Set_budget (float_of_int (Rng.int rng 30))
+      | 1 | 2 -> Delta.Upsert (props (), float_of_int (Rng.int rng 10))
+      | 3 -> Delta.Add (props (), float_of_int (1 + Rng.int rng 5))
+      | 4 | 5 -> Delta.Remove (props ())
+      | 6 | 7 -> Delta.Set_cost (props (), float_of_int (Rng.int rng 6))
+      | _ -> Delta.Set_cost (props (), infinity))
+
+let same_solved what (a : Store.solved) (b : Store.solved) =
+  let sa = a.Store.solution and sb = b.Store.solution in
+  if
+    not
+      (List.equal Bcc_core.Propset.equal sa.Solution.classifiers sb.Solution.classifiers
+      && Int64.bits_of_float sa.Solution.utility = Int64.bits_of_float sb.Solution.utility
+      && Int64.bits_of_float sa.Solution.cost = Int64.bits_of_float sb.Solution.cost)
+  then
+    QCheck.Test.fail_reportf "%s answers differ: utility %g vs %g, cost %g vs %g, %s vs %s" what
+      sa.Solution.utility sb.Solution.utility sa.Solution.cost sb.Solution.cost
+      (String.concat " " (List.map Bcc_core.Propset.to_string sa.Solution.classifiers))
+      (String.concat " " (List.map Bcc_core.Propset.to_string sb.Solution.classifiers))
+
+(* A live store, whose instances are patched epoch to epoch, against a
+   copy of its state directory reopened by a second store, whose
+   instances replay builds from the whole workload: the same instance,
+   and the same warm, cold and incremental answers. *)
+let patched_equals_replayed =
+  QCheck.Test.make ~name:"live (patched) store = reopened (replayed) store" ~count:(count 12)
+    QCheck.small_int (fun seed ->
+      with_dir @@ fun dir ->
+      let rng = Rng.create seed in
+      let source =
+        if Rng.bool rng then Store.Text fig_text
+        else Store.Log "x y\t3\ny z\t2\na b\t4\nb\t1\nc d e\t2\n"
+      in
+      let store = Store.create ~dir ~compact_bytes:(if Rng.bool rng then 256 else 1 lsl 20) () in
+      ignore (ok (Store.put store ~name:"w" source));
+      for _ = 1 to 2 + Rng.int rng 10 do
+        ignore (ok (Store.delta store ~name:"w" (random_ops rng)));
+        match Rng.int rng 3 with
+        | 0 -> ignore (ok (Store.solve store ~name:"w" ()))
+        | 1 -> ignore (ok (Store.solve store ~name:"w" ~incremental:true ()))
+        | _ -> ()
+      done;
+      let dir2 = dir ^ ".copy" in
+      copy_dir dir dir2;
+      Fun.protect ~finally:(fun () -> rm_rf dir2) @@ fun () ->
+      let reopened = Store.create ~dir:dir2 () in
+      (match (Store.solution store "w", Store.solution reopened "w") with
+      | Ok a, Ok b -> same_solved (Printf.sprintf "seed %d: committed" seed) a b
+      | Error _, Error _ -> ()
+      | _ -> QCheck.Test.fail_reportf "seed %d: only one store has a solution" seed);
+      let warm = ok (Store.solve store ~name:"w" ()) in
+      let warm' = ok (Store.solve reopened ~name:"w" ()) in
+      (match Fixtures.instance_diff warm.Store.instance warm'.Store.instance with
+      | Some msg -> QCheck.Test.fail_reportf "seed %d: instances differ: %s" seed msg
+      | None -> ());
+      same_solved (Printf.sprintf "seed %d: warm" seed) warm warm';
+      same_solved (Printf.sprintf "seed %d: cold" seed)
+        (ok (Store.solve store ~name:"w" ~cold:true ()))
+        (ok (Store.solve reopened ~name:"w" ~cold:true ()));
+      same_solved (Printf.sprintf "seed %d: incremental" seed)
+        (ok (Store.solve store ~name:"w" ~incremental:true ()))
+        (ok (Store.solve reopened ~name:"w" ~incremental:true ()));
+      Store.close store;
+      Store.close reopened;
+      true)
+
 let suite =
   [
     ("delta: codec round-trip and rejects", `Quick, delta_roundtrip);
@@ -424,4 +546,6 @@ let suite =
     ("solution codec: round-trip, lenient drift, strict", `Quick, solution_codec);
     qtest codec_roundtrip;
     qtest codec_truncation;
+    ("durability: a refused delta is never replayed", `Quick, refused_delta_not_replayed);
+    qtest patched_equals_replayed;
   ]
