@@ -97,29 +97,30 @@ let ig2 inst stop =
   done;
   let step state remaining =
     let rec pick () =
-      match Heap.pop heap with
-      | None -> []
-      | Some (id, _) ->
-          if Cover.is_selected state id then pick ()
-          else if Instance.cost inst id > remaining then pick () (* never fits again *)
-          else if ratio id <= 0.0 then []
-          else begin
-            let newly = Cover.select_traced state id in
-            (* Covered queries leave the sums of every classifier they
-               contain. *)
-            List.iter
-              (fun qi ->
-                let u = Instance.utility inst qi in
-                for mask = 1 to Cover.full_mask state qi do
-                  let cid = Instance.subset_id inst qi mask in
-                  if cid >= 0 then begin
-                    sums.(cid) <- sums.(cid) -. u;
-                    if Heap.mem heap cid then Heap.update heap cid (ratio cid)
-                  end
-                done)
-              newly;
-            [ id ] (* already selected; run loop's select is idempotent *)
-          end
+      if Heap.is_empty heap then []
+      else begin
+        let id = Heap.pop_key heap in
+        if Cover.is_selected state id then pick ()
+        else if Instance.cost inst id > remaining then pick () (* never fits again *)
+        else if ratio id <= 0.0 then []
+        else begin
+          let newly = Cover.select_traced state id in
+          (* Covered queries leave the sums of every classifier they
+             contain. *)
+          List.iter
+            (fun qi ->
+              let u = Instance.utility inst qi in
+              for mask = 1 to Cover.full_mask state qi do
+                let cid = Instance.subset_id inst qi mask in
+                if cid >= 0 then begin
+                  sums.(cid) <- sums.(cid) -. u;
+                  if Heap.mem heap cid then Heap.update heap cid (ratio cid)
+                end
+              done)
+            newly;
+          [ id ] (* already selected; run loop's select is idempotent *)
+        end
+      end
     in
     pick ()
   in

@@ -22,6 +22,21 @@ val cheapest_cover : Cover.t -> ?allowed:(int -> bool) -> int -> (float * int li
     first found in {!candidates}' order wins.  [None] if the query is
     uncoverable (or already covered — there is nothing to buy). *)
 
+type scratch
+(** Work buffers for the cover DP, grown on demand to the largest query
+    seen.  A scratch must not be shared by concurrent calls: use one per
+    engine task. *)
+
+val scratch : unit -> scratch
+
+val cheapest_cost : scratch -> Cover.t -> ?allowed:(int -> bool) -> int -> float
+(** The cost {!cheapest_cover} would return, bit for bit (the same DP
+    over the same candidates), or [infinity] where it returns [None].
+    It runs on [scratch]'s buffers and skips recording the cover, so
+    once the buffers fit it builds no arrays, lists or options.  Under
+    a build without cross-module inlining (dune's default dev profile)
+    the costs it reads and the float it returns are still boxed. *)
+
 val one_covers : candidate list -> target:int -> candidate list
 (** Candidates that cover the whole residual alone — residual 1-covers
     (Section 4.2). *)

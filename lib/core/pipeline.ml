@@ -370,14 +370,13 @@ let prune_stage ~options ~deadline ~pool ~note_degraded inst =
        pool in fixed chunks; each task writes its own index range.
        Results are identical at any job count, per-element. *)
     let nq = Instance.num_queries inst in
-    let at qi =
-      match Covers.cheapest_cover state qi with Some (c, _) -> c | None -> infinity
-    in
     let chunk = 128 in
-    if nq <= chunk then
+    if nq <= chunk then begin
+      let scratch = Covers.scratch () in
       Array.init nq (fun qi ->
           Deadline.check deadline;
-          at qi)
+          Covers.cheapest_cost scratch state qi)
+    end
     else begin
       let out = Array.make nq infinity in
       let tasks =
@@ -385,9 +384,10 @@ let prune_stage ~options ~deadline ~pool ~note_degraded inst =
             let lo = k * chunk in
             let hi = min (lo + chunk) nq - 1 in
             Engine.Task.make ~label:(Printf.sprintf "pipeline.cheapest:%d" k) (fun _ ->
+                let scratch = Covers.scratch () in
                 for qi = lo to hi do
                   Deadline.check deadline;
-                  out.(qi) <- at qi
+                  out.(qi) <- Covers.cheapest_cost scratch state qi
                 done))
       in
       ignore (Engine.Portfolio.collect pool tasks);

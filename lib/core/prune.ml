@@ -41,30 +41,23 @@ let rule1 ?budget ?(mode = `Lossless) ?(deadline = Bcc_robust.Deadline.none) ins
      would make unaffordable.  The fast path — the all-singleton cover
      fits the budget — skips the exact DP. *)
   let state = Cover.create inst in
+  let scratch = Covers.scratch () in
+  let allowed id = keep.(id) in
   for qi = 0 to Instance.num_queries inst - 1 do
     (* The budget guard's cheapest-cover scans dominate on big
        instances; the explicit context deadline bounds them per query. *)
     Bcc_robust.Deadline.check deadline;
-    let singles = singleton_sum qi (Cover.full_mask state qi) in
-    if singles > budget then begin
-      let affordable_with_kept =
-        match Covers.cheapest_cover state ~allowed:(fun id -> keep.(id)) qi with
-        | Some (c, _) -> c <= budget
-        | None -> false
-      in
-      if not affordable_with_kept then begin
-        let affordable_at_all =
-          match Covers.cheapest_cover state qi with
-          | Some (c, _) -> c <= budget
-          | None -> false
-        in
-        if affordable_at_all then
-          for mask = 1 to Cover.full_mask state qi do
-            let id = Instance.subset_id inst qi mask in
-            if id >= 0 then keep.(id) <- true
-          done
-      end
-    end
+    (* Affordable, but only with pruned classifiers (an uncoverable
+       query prices at [infinity]): re-admit the query's subsets. *)
+    if
+      singleton_sum qi (Cover.full_mask state qi) > budget
+      && Covers.cheapest_cost scratch state ~allowed qi > budget
+      && Covers.cheapest_cost scratch state qi <= budget
+    then
+      for mask = 1 to Cover.full_mask state qi do
+        let id = Instance.subset_id inst qi mask in
+        if id >= 0 then keep.(id) <- true
+      done
   done;
   if Trace.recording sp then begin
     Trace.add_attr sp "total" (Trace.Int n);

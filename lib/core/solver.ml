@@ -7,6 +7,7 @@ module Progress = Bcc_obs.Progress
 module Engine = Bcc_engine.Engine
 module Deadline = Bcc_robust.Deadline
 module Timer = Bcc_util.Timer
+module Heap = Bcc_util.Heap
 
 let log_src = Logs.Src.create "bcc.solver" ~doc:"A^BCC round-by-round progress"
 
@@ -110,61 +111,90 @@ let mc3_improvement inst state options =
 (* Ratio-greedy sweep: repeatedly buy the whole cheapest cover with the
    best utility/cost ratio until [limit] is exhausted.  Mutates [state];
    used both as a portfolio candidate (from a clone) and as the final
-   leftover-budget sweep. *)
+   leftover-budget sweep.
+
+   Each query's cheapest-cover cost and ratio are kept in [cost] and
+   [ratio].  A query's cover changes only when a pick lands inside it,
+   and exactly those queries are re-priced after each pick, so the
+   entries are current whenever a query is popped; only the cover
+   actually bought is rebuilt with its ids. *)
 let greedy_sweep ?allowed state ~limit =
   Trace.with_span ~name:"sweep" @@ fun sp ->
   let inst = Cover.instance state in
   let spent0 = Cover.spent state in
-  let heap = Bcc_util.Heap.create ~max:true (Instance.num_queries inst) in
-  let ratio_of qi =
-    match Covers.cheapest_cover ?allowed state qi with
-    | None -> None
-    | Some (cost, ids) ->
-        let u = Instance.utility inst qi in
-        Some ((if cost <= 1e-12 then infinity else u /. cost), cost, ids)
+  (* A cover costs at least its cheapest member, so when every
+     unselected allowed classifier is dearer than [limit] nothing can
+     be bought: skip the pricing. *)
+  let rec affordable id =
+    id < Instance.num_classifiers inst
+    && ((not (Cover.is_selected state id))
+        && (match allowed with None -> true | Some ok -> ok id)
+        && not (Instance.cost inst id > limit +. 1e-9)
+       || affordable (id + 1))
   in
-  List.iter
-    (fun qi ->
-      match ratio_of qi with
-      | Some (r, _, _) -> Bcc_util.Heap.insert heap qi r
-      | None -> ())
-    (Cover.uncovered_queries state);
-  let parked = ref [] in
-  let continue_ = ref true in
-  while !continue_ do
-    Deadline.poll ();
-    match Bcc_util.Heap.pop heap with
-    | None -> continue_ := false
-    | Some (qi, _) ->
-        if not (Cover.is_covered state qi) then begin
-          match ratio_of qi with
-          | None -> ()
-          | Some (r, cost, ids) ->
-              if cost <= limit -. (Cover.spent state -. spent0) +. 1e-9 then begin
-                List.iter (fun id -> Cover.select state id) ids;
-                (* Eagerly refresh the queries whose covers the new
-                   selections may have cheapened. *)
-                List.iter
-                  (fun id ->
-                    Array.iter
-                      (fun q ->
-                        if not (Cover.is_covered state q) then begin
-                          match ratio_of q with
-                          | Some (r', _, _) -> Bcc_util.Heap.update heap q r'
-                          | None -> ignore (Bcc_util.Heap.remove heap q)
-                        end)
-                      (Instance.queries_containing inst id))
-                  ids;
-                (* And give the parked queries another chance. *)
-                List.iter
-                  (fun (q, pr) ->
-                    if not (Bcc_util.Heap.mem heap q) then Bcc_util.Heap.insert heap q pr)
-                  !parked;
-                parked := []
-              end
-              else parked := (qi, r) :: !parked
+  if not (affordable 0) then Deadline.poll ()
+  else begin
+    let nq = Instance.num_queries inst in
+    let heap = Heap.create ~max:true nq in
+    let scratch = Covers.scratch () in
+    let cost = Array.make nq infinity and ratio = Array.make nq 0.0 in
+    (* [cost] is [infinity] for a query with no cover. *)
+    let price qi =
+      let c = Covers.cheapest_cost scratch state ?allowed qi in
+      cost.(qi) <- c;
+      ratio.(qi) <- (if c <= 1e-12 then infinity else Instance.utility inst qi /. c)
+    in
+    for qi = 0 to nq - 1 do
+      if not (Cover.is_covered state qi) then begin
+        price qi;
+        if cost.(qi) < infinity then Heap.insert heap qi ratio.(qi)
+      end
+    done;
+    (* [repriced.(q) = picks] once [q] is re-priced after the current
+       pick: a query inside several picked classifiers is priced once. *)
+    let repriced = Array.make nq (-1) in
+    let picks = ref 0 in
+    let parked = ref [] in
+    let continue_ = ref true in
+    while !continue_ do
+      Deadline.poll ();
+      if Heap.is_empty heap then continue_ := false
+      else begin
+        let qi = Heap.pop_key heap in
+        if (not (Cover.is_covered state qi)) && cost.(qi) < infinity then begin
+          if cost.(qi) <= limit -. (Cover.spent state -. spent0) +. 1e-9 then begin
+            let ids =
+              match Covers.cheapest_cover ?allowed state qi with
+              | Some (_, ids) -> ids
+              | None -> assert false (* [cost.(qi)] is finite *)
+            in
+            List.iter (fun id -> Cover.select state id) ids;
+            incr picks;
+            (* Re-price the queries the new selections may have
+               cheapened. *)
+            List.iter
+              (fun id ->
+                Array.iter
+                  (fun q ->
+                    if (not (Cover.is_covered state q)) && repriced.(q) <> !picks then begin
+                      repriced.(q) <- !picks;
+                      price q;
+                      if cost.(q) < infinity then Heap.update heap q ratio.(q)
+                      else ignore (Heap.remove heap q)
+                    end)
+                  (Instance.queries_containing inst id))
+              ids;
+            (* And give the parked queries another chance. *)
+            List.iter
+              (fun (q, pr) -> if not (Heap.mem heap q) then Heap.insert heap q pr)
+              !parked;
+            parked := []
+          end
+          else parked := (qi, ratio.(qi)) :: !parked
         end
-  done;
+      end
+    done
+  end;
   if Trace.recording sp then begin
     Trace.add_attr sp "limit" (Trace.Float limit);
     Trace.add_attr sp "spent" (Trace.Float (Cover.spent state -. spent0))

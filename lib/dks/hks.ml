@@ -54,17 +54,33 @@ let peel t =
     for v = 0 to n - 1 do
       Heap.insert heap v (degree_into t sel v)
     done;
+    (* Each node's neighbours (CSR order) and what dropping one of the
+       node's copies takes off each neighbour's per-copy degree, read
+       once so the pop loop touches only arrays. *)
+    let off = Array.make (n + 1) 0 in
+    for v = 0 to n - 1 do
+      off.(v + 1) <- off.(v) + Graph.degree t.g v
+    done;
+    let nbr = Array.make off.(n) 0 and loss = Array.make off.(n) 0.0 in
+    for v = 0 to n - 1 do
+      let i = ref off.(v) in
+      Graph.iter_neighbors t.g v (fun u w ->
+          nbr.(!i) <- u;
+          loss.(!i) <- -.pcw t u v w;
+          incr i)
+    done;
     while !total > t.k do
-      match Heap.pop heap with
-      | None -> total := t.k (* unreachable: heap tracks all nodes with copies *)
-      | Some (v, d) ->
-          sel.(v) <- sel.(v) - 1;
-          decr total;
-          Graph.iter_neighbors t.g v (fun u w ->
-              if Heap.mem heap u then Heap.add_to heap u (-.pcw t u v w));
-          (* [v]'s own per-copy degree is unaffected by dropping its copy
-             (no self loops), so reinsert it at the same priority. *)
-          if sel.(v) > 0 then Heap.insert heap v d
+      if Heap.is_empty heap then total := t.k (* unreachable: heap tracks all nodes with copies *)
+      else begin
+        let d = Heap.top_priority heap in
+        let v = Heap.pop_key heap in
+        sel.(v) <- sel.(v) - 1;
+        decr total;
+        Heap.add_to_present heap nbr loss off.(v) off.(v + 1);
+        (* [v]'s own per-copy degree is unaffected by dropping its copy
+           (no self loops), so reinsert it at the same priority. *)
+        if sel.(v) > 0 then Heap.insert heap v d
+      end
     done;
     sel
   end

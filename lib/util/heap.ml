@@ -62,17 +62,24 @@ let insert t key p =
   t.size <- t.size + 1;
   sift_up t (t.size - 1)
 
-let update t key p =
-  if not (mem t key) then insert t key p
-  else begin
-    let old = t.prio.(key) in
-    t.prio.(key) <- p *. t.sign;
-    let i = t.pos.(key) in
-    if t.prio.(key) < old then sift_up t i else sift_down t i
-  end
+(* Move present [key] to the stored (sign-multiplied) priority [q]. *)
+let[@inline] reprioritize t key q =
+  let old = t.prio.(key) in
+  t.prio.(key) <- q;
+  let i = t.pos.(key) in
+  if q < old then sift_up t i else sift_down t i
+
+let update t key p = if not (mem t key) then insert t key p else reprioritize t key (p *. t.sign)
 
 let add_to t key d =
-  if mem t key then update t key ((t.prio.(key) *. t.sign) +. d) else insert t key d
+  if mem t key then reprioritize t key (((t.prio.(key) *. t.sign) +. d) *. t.sign)
+  else insert t key d
+
+let add_to_present t keys deltas lo hi =
+  for i = lo to hi - 1 do
+    let key = keys.(i) in
+    if mem t key then reprioritize t key (((t.prio.(key) *. t.sign) +. deltas.(i)) *. t.sign)
+  done
 
 let peek t = if t.size = 0 then None else Some (t.keys.(0), t.prio.(t.keys.(0)) *. t.sign)
 
@@ -98,6 +105,10 @@ let pop t =
     let key = remove_at t 0 in
     Some (key, p)
   end
+
+let top t = if t.size = 0 then invalid_arg "Heap.top: empty heap" else t.keys.(0)
+let top_priority t = t.prio.(top t) *. t.sign
+let pop_key t = if t.size = 0 then invalid_arg "Heap.pop_key: empty heap" else remove_at t 0
 
 let remove t key =
   if not (mem t key) then false

@@ -31,8 +31,31 @@ val add_to : t -> int -> float -> unit
 (** [add_to h k d] adds [d] to the priority of present key [k]; inserts
     with priority [d] if absent. *)
 
+val add_to_present : t -> int array -> float array -> int -> int -> unit
+(** [add_to_present h keys deltas lo hi] runs
+    [if mem h keys.(i) then add_to h keys.(i) deltas.(i)] for
+    [i = lo .. hi - 1] in order, without boxing each delta. *)
+
 val peek : t -> (int * float) option
 val pop : t -> (int * float) option
+
+(** {1 Allocation-free access to the top}
+
+    [pop_key] removes exactly what {!pop} would, the same way, so a
+    drain through [top_priority] and [pop_key] visits keys and
+    priorities in {!pop}'s order, ties included. *)
+
+val top : t -> int
+(** The key {!pop} would return next.
+    @raise Invalid_argument on an empty heap. *)
+
+val top_priority : t -> float
+(** The priority of {!top}.  @raise Invalid_argument on an empty heap. *)
+
+val pop_key : t -> int
+(** Remove the top and return its key.
+    @raise Invalid_argument on an empty heap. *)
+
 val remove : t -> int -> bool
 (** [remove h k] removes [k] if present; returns whether it was. *)
 

@@ -4,6 +4,10 @@
 module Propset = Bcc_core.Propset
 module Instance = Bcc_core.Instance
 module Rng = Bcc_util.Rng
+module Cover = Bcc_core.Cover
+module Covers = Bcc_core.Covers
+module Trace = Bcc_obs.Trace
+module Deadline = Bcc_robust.Deadline
 
 let ps = Propset.of_list
 
@@ -120,3 +124,65 @@ let instance_diff ?(probes = []) a b =
     List.iter (fun c -> if id_of a c <> id_of b c then fail "probe %s" (str c)) probes;
     None
   with Failure msg -> Some msg
+
+(* The oracle for [Solver.greedy_sweep]: the ratio-greedy sweep as it
+   was before it kept per-query prices and exited early, verbatim.  It
+   prices a query (cover ids included) at every pop and re-pop. *)
+let greedy_sweep_reference ?allowed state ~limit =
+  Trace.with_span ~name:"sweep" @@ fun sp ->
+  let inst = Cover.instance state in
+  let spent0 = Cover.spent state in
+  let heap = Bcc_util.Heap.create ~max:true (Instance.num_queries inst) in
+  let ratio_of qi =
+    match Covers.cheapest_cover ?allowed state qi with
+    | None -> None
+    | Some (cost, ids) ->
+        let u = Instance.utility inst qi in
+        Some ((if cost <= 1e-12 then infinity else u /. cost), cost, ids)
+  in
+  List.iter
+    (fun qi ->
+      match ratio_of qi with
+      | Some (r, _, _) -> Bcc_util.Heap.insert heap qi r
+      | None -> ())
+    (Cover.uncovered_queries state);
+  let parked = ref [] in
+  let continue_ = ref true in
+  while !continue_ do
+    Deadline.poll ();
+    match Bcc_util.Heap.pop heap with
+    | None -> continue_ := false
+    | Some (qi, _) ->
+        if not (Cover.is_covered state qi) then begin
+          match ratio_of qi with
+          | None -> ()
+          | Some (r, cost, ids) ->
+              if cost <= limit -. (Cover.spent state -. spent0) +. 1e-9 then begin
+                List.iter (fun id -> Cover.select state id) ids;
+                (* Eagerly refresh the queries whose covers the new
+                   selections may have cheapened. *)
+                List.iter
+                  (fun id ->
+                    Array.iter
+                      (fun q ->
+                        if not (Cover.is_covered state q) then begin
+                          match ratio_of q with
+                          | Some (r', _, _) -> Bcc_util.Heap.update heap q r'
+                          | None -> ignore (Bcc_util.Heap.remove heap q)
+                        end)
+                      (Instance.queries_containing inst id))
+                  ids;
+                (* And give the parked queries another chance. *)
+                List.iter
+                  (fun (q, pr) ->
+                    if not (Bcc_util.Heap.mem heap q) then Bcc_util.Heap.insert heap q pr)
+                  !parked;
+                parked := []
+              end
+              else parked := (qi, r) :: !parked
+        end
+  done;
+  if Trace.recording sp then begin
+    Trace.add_attr sp "limit" (Trace.Float limit);
+    Trace.add_attr sp "spent" (Trace.Float (Cover.spent state -. spent0))
+  end

@@ -9,6 +9,7 @@ module Covers = Bcc_core.Covers
 module Solution = Bcc_core.Solution
 module Decompose = Bcc_core.Decompose
 module Prune = Bcc_core.Prune
+module Solver = Bcc_core.Solver
 module Rng = Bcc_util.Rng
 
 let qtest = QCheck_alcotest.to_alcotest
@@ -495,6 +496,117 @@ let patch_equals_create =
       done;
       true)
 
+(* --- Greedy sweep and cost-only cover DP --- *)
+
+(* A random sweep case: 3-9 properties, queries of 1-5 of them (some
+   repeated, which create merges), utilities with zeros, costs with
+   zeros and infinities; a random pre-selected state and an optional
+   random [allowed] filter. *)
+let sweep_case seed =
+  let rng = Rng.create seed in
+  let num_props = 3 + Rng.int rng 7 in
+  let distinct =
+    Array.init (1 + Rng.int rng 14) (fun _ ->
+        let len = 1 + Rng.int rng (min 5 num_props) in
+        ( Propset.of_array (Rng.sample_without_replacement rng len num_props),
+          float_of_int (Rng.int rng 10) ))
+  in
+  let repeated = Array.init (Rng.int rng 4) (fun _ -> distinct.(Rng.int rng (Array.length distinct))) in
+  let salt = Rng.int rng 1_000_000 in
+  let cost c =
+    match Rng.int (Rng.create ((Propset.hash c * 131) lxor salt)) 10 with
+    | 0 -> 0.0
+    | 1 -> infinity
+    | k -> float_of_int k *. 0.75
+  in
+  let inst =
+    Instance.create ~budget:100.0 ~queries:(Array.append distinct repeated) ~cost ()
+  in
+  let state = Cover.create inst in
+  for id = 0 to Instance.num_classifiers inst - 1 do
+    if Rng.int rng 5 = 0 then Cover.select state id
+  done;
+  let allowed =
+    if Rng.bool rng then None
+    else begin
+      let ok = Array.init (Instance.num_classifiers inst) (fun _ -> Rng.int rng 4 <> 0) in
+      Some (fun id -> ok.(id))
+    end
+  in
+  (inst, state, allowed, rng)
+
+let cheapest_cost_is_cheapest_cover =
+  QCheck.Test.make ~name:"Covers.cheapest_cost = fst cheapest_cover (or infinity), bit for bit"
+    ~count:(count 300) QCheck.small_int (fun seed ->
+      let inst, state, allowed, _ = sweep_case seed in
+      (* One scratch across every query and filter: stale entries must
+         not leak between calls. *)
+      let scratch = Covers.scratch () in
+      for qi = 0 to Instance.num_queries inst - 1 do
+        List.iter
+          (fun allowed ->
+            let want =
+              match Covers.cheapest_cover state ?allowed qi with
+              | Some (c, _) -> c
+              | None -> infinity
+            in
+            let got = Covers.cheapest_cost scratch state ?allowed qi in
+            if Int64.bits_of_float got <> Int64.bits_of_float want then
+              QCheck.Test.fail_reportf "seed %d query %d: cheapest_cost %h, cheapest_cover %h"
+                seed qi got want)
+          [ None; allowed ]
+      done;
+      true)
+
+let greedy_sweep_matches_reference =
+  QCheck.Test.make ~name:"greedy_sweep = the pre-memo sweep: same selection and spend"
+    ~count:(count 300) QCheck.small_int (fun seed ->
+      let inst, state, allowed, rng = sweep_case seed in
+      let usable id =
+        (not (Cover.is_selected state id))
+        && match allowed with None -> true | Some ok -> ok id
+      in
+      let cheapest_classifier = ref infinity and finite_total = ref 0.0 in
+      for id = 0 to Instance.num_classifiers inst - 1 do
+        let c = Instance.cost inst id in
+        if usable id then cheapest_classifier := Float.min !cheapest_classifier c;
+        finite_total := !finite_total +. c
+      done;
+      let cheapest_pick =
+        List.fold_left
+          (fun acc qi ->
+            match Covers.cheapest_cover state ?allowed qi with
+            | Some (c, _) -> Float.min acc c
+            | None -> acc)
+          infinity (Cover.uncovered_queries state)
+      in
+      let below x d = if x < infinity then [ Float.max 0.0 (x -. d) ] else [] in
+      let limits =
+        [ 0.0; Rng.float rng !finite_total; !finite_total; Instance.budget inst ]
+        (* Either side of the early exit: [limit + 1e-9] just below and
+           just above the cheapest usable classifier. *)
+        @ below !cheapest_classifier 2e-9
+        @ below !cheapest_classifier 5e-10
+        @ below cheapest_pick 1e-6
+      in
+      List.iter
+        (fun limit ->
+          let got = Cover.clone state and want = Cover.clone state in
+          Solver.greedy_sweep ?allowed got ~limit;
+          Fixtures.greedy_sweep_reference ?allowed want ~limit;
+          if
+            Cover.selected got <> Cover.selected want
+            || Int64.bits_of_float (Cover.spent got) <> Int64.bits_of_float (Cover.spent want)
+          then
+            QCheck.Test.fail_reportf "seed %d limit %h: selected [%s] spent %h, reference [%s] spent %h"
+              seed limit
+              (String.concat " " (List.map string_of_int (Cover.selected got)))
+              (Cover.spent got)
+              (String.concat " " (List.map string_of_int (Cover.selected want)))
+              (Cover.spent want))
+        limits;
+      true)
+
 let suite =
   [
     qtest propset_union_commutes;
@@ -525,4 +637,6 @@ let suite =
     qtest cheapest_cover_matches_brute_residual;
     qtest propset_compare_is_stdlib;
     qtest patch_equals_create;
+    qtest cheapest_cost_is_cheapest_cover;
+    qtest greedy_sweep_matches_reference;
   ]

@@ -193,10 +193,15 @@ let cancelled_batch_runs_nothing jobs () =
       Alcotest.(check (list int)) "pool serviceable after cancellation" [ 42 ] ok)
 
 (* Cancelling mid-batch: tasks claimed after the cancel are skipped.
-   Task 2 cancels the deadline; tasks 3+ block on [gate] until the
-   cancel is visible, so a worker can be *in* a late task when the axe
-   falls (it finishes) but can never claim more than one afterwards —
-   the executed count is bounded by the in-flight window, not luck. *)
+   Task 2 waits until three bodies have started (itself and two more:
+   tasks 0 and 1 or, if their runners are slow to start them, blocked
+   later tasks) and then cancels the deadline, so at least 3 ran by
+   construction — a runner that claimed task 0 or 1 but checks the
+   deadline after the cancel skips it, as documented.  Tasks 3+ block
+   on [gate] until the cancel is visible, so a worker can be *in* a late
+   task when the axe falls (it finishes) but can never claim more than
+   one afterwards — the executed count is bounded by the in-flight
+   window, not luck. *)
 let midbatch_cancellation jobs () =
   with_pool jobs (fun pool ->
       let ran = Atomic.make 0 in
@@ -209,6 +214,9 @@ let midbatch_cancellation jobs () =
                 Engine.Task.make ~label:(Printf.sprintf "m%d" i) (fun _ ->
                     Atomic.incr ran;
                     if i = 2 then begin
+                      while Atomic.get ran < 3 do
+                        Domain.cpu_relax ()
+                      done;
                       Deadline.cancel d;
                       Atomic.set gate true
                     end

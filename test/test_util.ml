@@ -118,6 +118,86 @@ let heap_pop_sorted =
       let popped = drain [] in
       popped = List.sort compare prios)
 
+(* Two heaps fed the same random operations over few distinct
+   priorities (so most comparisons tie): one drained by [pop], the other
+   by [top], [top_priority] and [pop_key], with [add_to] and
+   [add_to_present] on the first and their [update] and [add_to]
+   formulations on the second.  Pops between operations and
+   the final drain must agree key for key: tie order is what keeps
+   solver answers bit-identical. *)
+let heap_pop_key_is_pop =
+  let op =
+    QCheck.Gen.(
+      frequency
+        [
+          (4, map2 (fun k p -> `Insert (k, float_of_int p)) (0 -- 15) (0 -- 3));
+          (3, map2 (fun k p -> `Update (k, float_of_int p)) (0 -- 15) (0 -- 3));
+          (3, map2 (fun k d -> `Add_to (k, float_of_int d)) (0 -- 15) (-1 -- 1));
+          (2, map (fun k -> `Remove k) (0 -- 15));
+          ( 2,
+            map
+              (fun l -> `Add_present (Array.of_list (List.map fst l), Array.of_list (List.map snd l)))
+              (list_size (0 -- 6) (pair (0 -- 15) (map float_of_int (-1 -- 1)))) );
+          (2, return `Pop);
+        ])
+  in
+  let print = function
+    | `Insert (k, p) -> Printf.sprintf "insert %d %g" k p
+    | `Update (k, p) -> Printf.sprintf "update %d %g" k p
+    | `Add_to (k, d) -> Printf.sprintf "add_to %d %g" k d
+    | `Remove k -> Printf.sprintf "remove %d" k
+    | `Add_present (ks, ds) ->
+        Printf.sprintf "add_to_present [%s]"
+          (String.concat "; " (Array.to_list (Array.mapi (fun i k -> Printf.sprintf "%d %g" k ds.(i)) ks)))
+    | `Pop -> "pop"
+  in
+  QCheck.Test.make
+    ~name:"Heap top/top_priority/pop_key drain = pop drain, ties included"
+    ~count:500
+    (QCheck.make ~print:QCheck.Print.(pair bool (list print))
+       QCheck.Gen.(pair bool (list_size (0 -- 80) op)))
+    (fun (max, ops) ->
+      let a = Heap.create ~max 16 and b = Heap.create ~max 16 in
+      let pop_b () =
+        if Heap.is_empty b then None
+        else begin
+          let k = Heap.top b and p = Heap.top_priority b in
+          let k' = Heap.pop_key b in
+          if k <> k' then QCheck.Test.fail_reportf "top %d but pop_key %d" k k';
+          Some (k, p)
+        end
+      in
+      let same what x y =
+        if x <> y then
+          QCheck.Test.fail_reportf "%s: pop %s vs pop_key %s" what
+            (match x with Some (k, p) -> Printf.sprintf "(%d, %g)" k p | None -> "none")
+            (match y with Some (k, p) -> Printf.sprintf "(%d, %g)" k p | None -> "none")
+      in
+      List.iter
+        (function
+          | `Insert (k, p) ->
+              if not (Heap.mem a k) then begin
+                Heap.insert a k p;
+                Heap.insert b k p
+              end
+          | `Update (k, p) ->
+              Heap.update a k p;
+              Heap.update b k p
+          | `Add_to (k, d) ->
+              Heap.add_to a k d;
+              if Heap.mem b k then Heap.update b k (Heap.priority b k +. d) else Heap.insert b k d
+          | `Remove k ->
+              if Heap.remove a k <> Heap.remove b k then QCheck.Test.fail_report "remove differs"
+          | `Add_present (ks, ds) ->
+              Heap.add_to_present a ks ds 0 (Array.length ks);
+              Array.iteri (fun i k -> if Heap.mem b k then Heap.add_to b k ds.(i)) ks
+          | `Pop -> same "mid-sequence" (Heap.pop a) (pop_b ()))
+        ops;
+      while not (Heap.is_empty a && Heap.is_empty b) do
+        same "drain" (Heap.pop a) (pop_b ())
+      done;
+      true)
+
 let heap_update_reorders () =
   let h = Heap.create 3 in
   Heap.insert h 0 5.0;
@@ -242,6 +322,7 @@ let suite =
     qtest rng_sample_distinct;
     Alcotest.test_case "rng weighted index" `Quick rng_weighted_skips_zero;
     qtest heap_pop_sorted;
+    qtest heap_pop_key_is_pop;
     Alcotest.test_case "heap update reorders" `Quick heap_update_reorders;
     Alcotest.test_case "heap add_to" `Quick heap_add_to;
     Alcotest.test_case "heap remove" `Quick heap_remove;
